@@ -84,11 +84,23 @@ func renderTables(tables []*stats.Table) string {
 	return b.String()
 }
 
+// allEmpty reports whether no table has a data row.
+func allEmpty(tables []*stats.Table) bool {
+	for _, t := range tables {
+		if t.Rows() > 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // Bench measures one experiment three times - on the serial reference
 // engine, on the configured parallel engine with exact pricing, and on the
 // same engine with the analytic pricing fast path enabled - and returns the
 // perf record. All legs produce identical tables (the determinism tests and
-// the analytic oracle tests prove it); only the wall clock differs.
+// the analytic oracle tests prove it); only the wall clock differs. Bench
+// refuses to return a record whose measured leg simulated no FLOPs or
+// rendered only empty tables.
 func Bench(cfg Config, id string) (*BenchRecord, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -98,10 +110,10 @@ func Bench(cfg Config, id string) (*BenchRecord, error) {
 		return nil, fmt.Errorf("experiments: unknown experiment %q", id)
 	}
 
-	run := func(c Config) (float64, string, error) {
+	run := func(c Config) (float64, []*stats.Table, error) {
 		start := time.Now() //sccvet:allow nondeterminism Bench measures host wall time by design; the simulated tables stay deterministic
 		tables, err := e.Run(c)
-		return time.Since(start).Seconds(), renderTables(tables), err //sccvet:allow nondeterminism Bench measures host wall time by design; the simulated tables stay deterministic
+		return time.Since(start).Seconds(), tables, err //sccvet:allow nondeterminism Bench measures host wall time by design; the simulated tables stay deterministic
 	}
 
 	// Seed-equivalent reference leg: single-threaded, no shared sweep
@@ -124,12 +136,22 @@ func Bench(cfg Config, id string) (*BenchRecord, error) {
 	}
 	cacheBefore := parCfg.MatrixCache.Stats()
 	flopsBefore := sim.SimulatedFLOPs()
-	parSec, parOut, err := run(parCfg)
+	parSec, parTables, err := run(parCfg)
 	if err != nil {
 		return nil, err
 	}
 	cacheAfter := parCfg.MatrixCache.Stats()
-	gflop := float64(sim.SimulatedFLOPs()-flopsBefore) / 1e9
+	flops := sim.SimulatedFLOPs() - flopsBefore
+	// A leg that simulated nothing timed matrix generation or cache hits,
+	// not the engine: its "speedup" would be meaningless.
+	if flops == 0 {
+		return nil, fmt.Errorf("experiments: bench %s: the measured leg simulated no FLOPs", id)
+	}
+	if allEmpty(parTables) {
+		return nil, fmt.Errorf("experiments: bench %s: the measured leg rendered only empty tables", id)
+	}
+	parOut := renderTables(parTables)
+	gflop := float64(flops) / 1e9
 	visits := (cacheAfter.Hits - cacheBefore.Hits) + (cacheAfter.Misses - cacheBefore.Misses)
 
 	// Analytic leg: same engine, pricing on auto so cells go analytic
@@ -139,7 +161,7 @@ func Bench(cfg Config, id string) (*BenchRecord, error) {
 	anCfg.Pricing = sim.PricingAuto
 	anCfg.MatrixCache = sparse.NewMatrixCache(DefaultMatrixCacheBytes)
 	builtB, reusedB, analyticB, exactB := sim.PricingCounters()
-	anSec, anOut, err := run(anCfg)
+	anSec, anTables, err := run(anCfg)
 	if err != nil {
 		return nil, err
 	}
@@ -155,7 +177,7 @@ func Bench(cfg Config, id string) (*BenchRecord, error) {
 		SerialSec:                 serialSec,
 		ParallelSec:               parSec,
 		AnalyticSec:               anSec,
-		OutputIdentical:           anOut == parOut,
+		OutputIdentical:           renderTables(anTables) == parOut,
 		ProfilesBuilt:             builtA - builtB,
 		ProfilesReused:            reusedA - reusedB,
 		CellsAnalytic:             analyticA - analyticB,

@@ -220,3 +220,15 @@ func TestBenchUnknownExperiment(t *testing.T) {
 		t.Fatal("expected error for unknown experiment id")
 	}
 }
+
+// TestBenchRefusesZeroWork: fig1 draws the chip layout and simulates
+// nothing, so a bench record of it would time no engine work.
+func TestBenchRefusesZeroWork(t *testing.T) {
+	_, err := Bench(Config{Scale: 0.05, Stride: 9}, "fig1")
+	if err == nil {
+		t.Fatal("bench of a zero-FLOP experiment returned a record")
+	}
+	if !strings.Contains(err.Error(), "fig1") || !strings.Contains(err.Error(), "no FLOPs") {
+		t.Errorf("error %q does not name the experiment and the missing work", err)
+	}
+}

@@ -3,249 +3,345 @@ package sim
 import (
 	"fmt"
 
-	"repro/internal/cache"
+	"repro/internal/partition"
 	"repro/internal/scc"
 	"repro/internal/sparse"
 )
 
-// Alternative-format kernels for the storage-format ablation (DESIGN.md,
-// abl-fmt). Each walks the format's real data, generates its access stream
-// (including padding and fill overheads) and prices it with the same core
-// model as the CSR kernel, so format comparisons isolate the format.
+// Storage-format kernels for the format ablation (DESIGN.md, abl-fmt) and
+// the cache-blocking ablation. Each is a pass body over the per-rank driver
+// CSR uses (drive): the format's virtual layout plus one walk over a rank's
+// share that sends the format's real access stream - padding and fill
+// overheads included - to the same core, cache and memory-controller
+// model, so format comparisons isolate the format.
 
-// RunELL simulates y = A·x over ELLPACK storage with ues units of
-// execution mapped by the distance-reduction policy. Padding slots cost
-// compute like real slots until the row's first pad (rows are left-packed),
-// mirroring the branch-free inner loop ELL enables.
-func (m *Machine) RunELL(e *sparse.ELL, ues int) (*Result, error) {
-	if ues <= 0 || ues > scc.NumCores {
-		return nil, fmt.Errorf("sim: %d UEs outside [1, %d]", ues, scc.NumCores)
-	}
-	if err := m.Domains.Validate(); err != nil {
+// runFormat runs the kernel build returns on ues ranks. The UE count is
+// validated exactly as a CSR run's is (normalize's Mapping.Validate); the
+// ranks are then placed by distance reduction, like every format ablation.
+func (m *Machine) runFormat(ues int, build func() kernel) (*Result, error) {
+	machines := []*Machine{m}
+	opts := Options{UEs: ues}
+	if err := prepare(machines, &opts); err != nil {
 		return nil, err
 	}
-	mapping := scc.DistanceReductionMapping(ues)
+	opts.Mapping = scc.DistanceReductionMapping(ues)
+	rs, err := drive(machines, opts, build())
+	if err != nil {
+		return nil, err
+	}
+	return rs[0], nil
+}
 
-	// Virtual layout: Index (4B) and Val (8B) rectangles, x and y.
-	const base = uint64(1) << 28
-	align := func(v uint64) uint64 { return (v + 63) &^ 63 }
+// share is rank's slice [lo, hi) of n rows split evenly over ues ranks.
+func share(n, rank, ues int) (lo, hi int) { return n * rank / ues, n * (rank + 1) / ues }
+
+// evenRows reports each rank's row count under share.
+func evenRows(n, ues int) func(rank int) int {
+	return func(rank int) int {
+		lo, hi := share(n, rank, ues)
+		return hi - lo
+	}
+}
+
+// ellLayout places ELL's Index (4 B) and Val (8 B) rectangles, then x and y.
+type ellLayout struct{ idx, val, x, y uint64 }
+
+func ellLayoutFor(e *sparse.ELL) ellLayout {
 	slots := uint64(e.Rows) * uint64(e.K)
-	layIdx := base
-	layVal := align(layIdx + 4*slots)
-	layX := align(layVal + 8*slots)
-	layY := align(layX + 8*uint64(e.Cols))
+	l := ellLayout{idx: layoutBase}
+	l.val = align(l.idx + 4*slots)
+	l.x = align(l.val + 8*slots)
+	l.y = align(l.x + 8*uint64(e.Cols))
+	return l
+}
 
-	res := &Result{Matrix: e.Name, UEs: ues, PerCore: make([]CoreResult, ues), Y: make([]float64, e.Rows)}
-	x := make([]float64, e.Cols)
-	for i := range x {
-		x[i] = 1
-	}
-	for rank := 0; rank < ues; rank++ {
-		core := mapping[rank]
-		cfg := m.Domains.ConfigFor(core)
-		lo, hi := e.Rows*rank/ues, e.Rows*(rank+1)/ues
-		h := m.newHierarchy()
-		memLat := scc.MemoryLatencyCoreCycles(scc.HopsToMC(core), cfg)
-
-		var compute, stall float64
-		var nnz int
-		for pass := 0; pass < 2; pass++ { // warm-up + timed, like CSR
-			if pass == 1 {
-				h.ResetStats()
+// ellPass walks ELL rows [lo, hi) and stores their y. Rows are left-packed,
+// so a row's walk ends at its first padding slot.
+func (m *Machine) ellPass(e *sparse.ELL, l ellLayout, x, y []float64, pr *hierProber, lo, hi int) (compute float64, nnz int) {
+	var idxS, valS, yS stream
+	for i := lo; i < hi; i++ {
+		compute += m.Params.RowOverheadCycles
+		rowBase := i * e.K
+		var t float64
+		for s := 0; s < e.K; s++ {
+			c := e.Index[rowBase+s]
+			if c < 0 {
+				break
 			}
-			compute, stall, nnz = 0, 0, 0
-			var idxS, valS, yS stream
-			probe := func(addr uint64, write bool) {
-				switch h.Access(addr, write) {
-				case cache.LevelL2:
-					stall += m.Params.L2HitCycles
-				case cache.LevelMemory:
-					stall += memLat
-				}
+			if addr := l.idx + 4*uint64(rowBase+s); idxS.crossing(addr) {
+				pr.probe(addr, false)
 			}
-			for i := lo; i < hi; i++ {
-				compute += m.Params.RowOverheadCycles
-				rowBase := i * e.K
-				var t float64
-				for s := 0; s < e.K; s++ {
-					c := e.Index[rowBase+s]
-					if c < 0 {
-						break
-					}
-					if addr := layIdx + 4*uint64(rowBase+s); idxS.crossing(addr) {
-						probe(addr, false)
-					}
-					if addr := layVal + 8*uint64(rowBase+s); valS.crossing(addr) {
-						probe(addr, false)
-					}
-					probe(layX+8*uint64(c), false)
-					t += e.Val[rowBase+s] * x[c]
-					compute += m.Params.NNZComputeCycles
-					nnz++
-				}
-				res.Y[i] = t
-				if addr := layY + 8*uint64(i); yS.crossing(addr) {
-					probe(addr, true)
-				}
+			if addr := l.val + 8*uint64(rowBase+s); valS.crossing(addr) {
+				pr.probe(addr, false)
 			}
+			pr.probe(l.x+8*uint64(c), false)
+			t += e.Val[rowBase+s] * x[c]
+			compute += m.Params.NNZComputeCycles
+			nnz++
 		}
-		cyc := cfg.CoreCycleSec()
-		res.PerCore[rank] = CoreResult{
-			Rank: rank, Core: core, Hops: scc.HopsToMC(core),
-			Rows: hi - lo, NNZ: nnz,
-			ComputeSec: compute * cyc, MemStallSec: stall * cyc,
-			Slowdown: 1, TimeSec: (compute + stall) * cyc,
-			Cache: h.Stats(),
+		y[i] = t
+		if addr := l.y + 8*uint64(i); yS.crossing(addr) {
+			pr.probe(addr, true)
 		}
 	}
-	m.applyContention(res)
-	m.addBarrierCost(res)
-	res.TimeSec = res.MaxCoreTime()
-	if res.TimeSec > 0 {
-		res.GFLOPS = 2 * float64(e.NNZ()) / res.TimeSec / 1e9
-		res.MFLOPS = res.GFLOPS * 1000
-	}
-	res.PowerWatts = scc.FullSystemPower(m.Domains)
-	res.MFLOPSPerWatt = scc.MFLOPSPerWatt(res.GFLOPS, res.PowerWatts)
-	return res, nil
+	return compute, nnz
+}
+
+// RunELL simulates y = A·x over ELLPACK storage with ues units of
+// execution, rows split evenly. Padding slots cost compute like real slots
+// until the row's first pad (rows are left-packed), mirroring the
+// branch-free inner loop ELL enables.
+func (m *Machine) RunELL(e *sparse.ELL, ues int) (*Result, error) {
+	return m.runFormat(ues, func() kernel {
+		l := ellLayoutFor(e)
+		x, y := ones(e.Cols), make([]float64, e.Rows)
+		return kernel{
+			name: e.Name, y: y, nnz: e.NNZ(), rows: evenRows(e.Rows, ues),
+			body: func(rank int, pr *hierProber, _ bool) (float64, int) {
+				lo, hi := share(e.Rows, rank, ues)
+				return m.ellPass(e, l, x, y, pr, lo, hi)
+			},
+		}
+	})
 }
 
 // RunBCSR simulates y = A·x over blocked-CSR storage with ues units of
-// execution (distance-reduction mapping, block rows split evenly). Stored
-// zeros inside blocks cost compute and bandwidth - the fill-ratio tax of
-// register blocking.
+// execution, block rows split evenly. Stored zeros inside blocks cost
+// compute and bandwidth - the fill-ratio tax of register blocking.
 func (m *Machine) RunBCSR(b *sparse.BCSR, ues int) (*Result, error) {
-	if ues <= 0 || ues > scc.NumCores {
-		return nil, fmt.Errorf("sim: %d UEs outside [1, %d]", ues, scc.NumCores)
-	}
-	if err := m.Domains.Validate(); err != nil {
-		return nil, err
-	}
-	mapping := scc.DistanceReductionMapping(ues)
-
-	const base = uint64(1) << 28
-	align := func(v uint64) uint64 { return (v + 63) &^ 63 }
-	rc := uint64(b.R * b.C)
-	layPtr := base
-	layBIdx := align(layPtr + 4*uint64(b.BRows+1))
-	layVal := align(layBIdx + 4*uint64(b.Blocks()))
-	layX := align(layVal + 8*uint64(b.Blocks())*rc)
-	layY := align(layX + 8*uint64(b.Cols))
-
-	res := &Result{Matrix: b.Name, UEs: ues, PerCore: make([]CoreResult, ues), Y: make([]float64, b.Rows)}
-	x := make([]float64, b.Cols)
-	for i := range x {
-		x[i] = 1
-	}
-	for rank := 0; rank < ues; rank++ {
-		core := mapping[rank]
-		cfg := m.Domains.ConfigFor(core)
-		lo, hi := b.BRows*rank/ues, b.BRows*(rank+1)/ues
-		h := m.newHierarchy()
-		memLat := scc.MemoryLatencyCoreCycles(scc.HopsToMC(core), cfg)
-
-		var compute, stall float64
-		var stored int
-		for pass := 0; pass < 2; pass++ {
-			if pass == 1 {
-				h.ResetStats()
+	return m.runFormat(ues, func() kernel {
+		rc := b.R * b.C
+		layPtr := layoutBase
+		layBIdx := align(layPtr + 4*uint64(b.BRows+1))
+		layVal := align(layBIdx + 4*uint64(b.Blocks()))
+		layX := align(layVal + 8*uint64(b.Blocks()*rc))
+		layY := align(layX + 8*uint64(b.Cols))
+		x, y := ones(b.Cols), make([]float64, b.Rows)
+		// The flops count every stored entry inside the matrix bounds,
+		// explicit zeros included; callers divide MFLOPS by the fill ratio
+		// to report useful throughput.
+		stored := 0
+		for br := 0; br < b.BRows; br++ {
+			r := min(b.R, b.Rows-br*b.R)
+			for p := b.Ptr[br]; p < b.Ptr[br+1]; p++ {
+				stored += r * min(b.C, b.Cols-int(b.BIndex[p])*b.C)
 			}
-			compute, stall, stored = 0, 0, 0
-			var ptrS, bidxS, valS, yS stream
-			probe := func(addr uint64, write bool) {
-				switch h.Access(addr, write) {
-				case cache.LevelL2:
-					stall += m.Params.L2HitCycles
-				case cache.LevelMemory:
-					stall += memLat
-				}
-			}
-			for br := lo; br < hi; br++ {
-				compute += m.Params.RowOverheadCycles
-				if addr := layPtr + 4*uint64(br); ptrS.crossing(addr) {
-					probe(addr, false)
-				}
-				rowLo := br * b.R
-				for p := b.Ptr[br]; p < b.Ptr[br+1]; p++ {
-					if addr := layBIdx + 4*uint64(p); bidxS.crossing(addr) {
-						probe(addr, false)
+		}
+		return kernel{
+			name: b.Name, y: y, nnz: stored, rows: evenRows(b.BRows, ues),
+			body: func(rank int, pr *hierProber, _ bool) (compute float64, nnz int) {
+				lo, hi := share(b.BRows, rank, ues)
+				clear(y[min(lo*b.R, b.Rows):min(hi*b.R, b.Rows)])
+				var ptrS, bidxS, valS, yS stream
+				for br := lo; br < hi; br++ {
+					compute += m.Params.RowOverheadCycles
+					if addr := layPtr + 4*uint64(br); ptrS.crossing(addr) {
+						pr.probe(addr, false)
 					}
-					colLo := int(b.BIndex[p]) * b.C
-					blk := b.Val[int(p)*int(rc) : (int(p)+1)*int(rc)]
-					for ri := 0; ri < b.R; ri++ {
-						i := rowLo + ri
-						if i >= b.Rows {
-							break
+					rowLo := br * b.R
+					for p := int(b.Ptr[br]); p < int(b.Ptr[br+1]); p++ {
+						if addr := layBIdx + 4*uint64(p); bidxS.crossing(addr) {
+							pr.probe(addr, false)
 						}
-						var t float64
-						for cj := 0; cj < b.C; cj++ {
-							j := colLo + cj
-							if j >= b.Cols {
-								break
+						colLo := int(b.BIndex[p]) * b.C
+						for ri := 0; ri < b.R && rowLo+ri < b.Rows; ri++ {
+							var t float64
+							for cj := 0; cj < b.C && colLo+cj < b.Cols; cj++ {
+								off := p*rc + ri*b.C + cj
+								if addr := layVal + 8*uint64(off); valS.crossing(addr) {
+									pr.probe(addr, false)
+								}
+								pr.probe(layX+8*uint64(colLo+cj), false)
+								t += b.Val[off] * x[colLo+cj]
+								compute += m.Params.NNZComputeCycles
+								nnz++
 							}
-							off := uint64(int(p)*int(rc) + ri*b.C + cj)
-							if addr := layVal + 8*off; valS.crossing(addr) {
-								probe(addr, false)
-							}
-							probe(layX+8*uint64(j), false)
-							t += blk[ri*b.C+cj] * x[j]
-							compute += m.Params.NNZComputeCycles
-							stored++
+							y[rowLo+ri] += t
 						}
-						res.Y[i] += t
 					}
-				}
-				for ri := 0; ri < b.R; ri++ {
-					if i := rowLo + ri; i < b.Rows {
+					for i := rowLo; i < rowLo+b.R && i < b.Rows; i++ {
 						if addr := layY + 8*uint64(i); yS.crossing(addr) {
-							probe(addr, true)
+							pr.probe(addr, true)
 						}
 					}
 				}
-			}
-			if pass == 0 {
-				// Zero y between passes so the second pass recomputes it.
-				for i := rowLo(lo, b.R); i < rowHi(hi, b.R, b.Rows); i++ {
-					res.Y[i] = 0
-				}
-			}
+				return compute, nnz
+			},
 		}
-		cyc := cfg.CoreCycleSec()
-		res.PerCore[rank] = CoreResult{
-			Rank: rank, Core: core, Hops: scc.HopsToMC(core),
-			Rows: hi - lo, NNZ: stored,
-			ComputeSec: compute * cyc, MemStallSec: stall * cyc,
-			Slowdown: 1, TimeSec: (compute + stall) * cyc,
-			Cache: h.Stats(),
-		}
-	}
-	m.applyContention(res)
-	m.addBarrierCost(res)
-	res.TimeSec = res.MaxCoreTime()
-	if res.TimeSec > 0 {
-		// FLOPS use the true nonzero count via the fill ratio: the fill
-		// work is overhead, not useful flops. Callers compare against
-		// CSR on the same matrix, so use stored-entry count consistently
-		// with useful work = original nnz unavailable here; report the
-		// stored count and let the ablation normalise.
-		var stored int
-		for _, c := range res.PerCore {
-			stored += c.NNZ
-		}
-		res.GFLOPS = 2 * float64(stored) / res.TimeSec / 1e9
-		res.MFLOPS = res.GFLOPS * 1000
-	}
-	res.PowerWatts = scc.FullSystemPower(m.Domains)
-	res.MFLOPSPerWatt = scc.MFLOPSPerWatt(res.GFLOPS, res.PowerWatts)
-	return res, nil
+	})
 }
 
-func rowLo(blockRow, r int) int { return blockRow * r }
+// RunDIA simulates y = A·x over diagonal storage with ues units of
+// execution, rows split evenly. DIA is the stream-friendliest format (both
+// the diagonal values and the x accesses are unit-stride); padding slots
+// inside stored diagonals cost compute and bandwidth like real entries -
+// DIA's fundamental trade. Only true nonzeros count as flops.
+func (m *Machine) RunDIA(d *sparse.DIA, ues int) (*Result, error) {
+	return m.runFormat(ues, func() kernel {
+		layVal := layoutBase
+		layX := align(layVal + 8*uint64(len(d.Val)))
+		layY := align(layX + 8*uint64(d.Cols))
+		x, y := ones(d.Cols), make([]float64, d.Rows)
+		return kernel{
+			name: d.Name, y: y, nnz: d.NNZ(), rows: evenRows(d.Rows, ues),
+			body: func(rank int, pr *hierProber, _ bool) (compute float64, nnz int) {
+				lo, hi := share(d.Rows, rank, ues)
+				clear(y[lo:hi])
+				var valS, xS, yS stream
+				// Diagonal-major traversal over the owned row range: the
+				// natural DIA loop nest (one pass per diagonal).
+				for p, off := range d.Offsets {
+					compute += m.Params.RowOverheadCycles // per-diagonal loop setup
+					base := p * d.Rows
+					rLo, rHi := lo, hi
+					if off < 0 && int(-off) > rLo {
+						rLo = int(-off)
+					}
+					if over := d.Rows + int(off) - d.Cols; over > 0 && d.Rows-over < rHi {
+						rHi = d.Rows - over
+					}
+					for i := rLo; i < rHi; i++ {
+						if addr := layVal + 8*uint64(base+i); valS.crossing(addr) {
+							pr.probe(addr, false)
+						}
+						if addr := layX + 8*uint64(i+int(off)); xS.crossing(addr) {
+							pr.probe(addr, false)
+						}
+						if addr := layY + 8*uint64(i); yS.crossing(addr) {
+							pr.probe(addr, true)
+						}
+						y[i] += d.Val[base+i] * x[i+int(off)]
+						compute += m.Params.NNZComputeCycles
+						nnz++
+					}
+				}
+				return compute, nnz
+			},
+		}
+	})
+}
 
-func rowHi(blockRow, r, rows int) int {
-	h := blockRow * r
-	if h > rows {
-		return rows
+// RunHYB simulates y = A·x over hybrid ELL+COO storage: the ELL slab walks
+// like RunELL, and the COO tail streams its I/J/V arrays with scattered x
+// reads and y read-modify-writes - the price of the overflow path.
+func (m *Machine) RunHYB(hyb *sparse.HYB, ues int) (*Result, error) {
+	return m.runFormat(ues, func() kernel {
+		e, tail := hyb.ELL, hyb.Tail
+		l := ellLayoutFor(e)
+		tailN := uint64(tail.NNZ())
+		layTI := align(l.y + 8*uint64(e.Rows))
+		layTJ := align(layTI + 4*tailN)
+		layTV := align(layTJ + 4*tailN)
+		x, y := ones(e.Cols), make([]float64, e.Rows)
+		// Tail triplets are appended row-major, so one forward scan splits
+		// them by owning row range.
+		tailLo := make([]int, ues+1)
+		for rank, p := 0, 0; rank < ues; rank++ {
+			_, hi := share(e.Rows, rank, ues)
+			for p < tail.NNZ() && int(tail.I[p]) < hi {
+				p++
+			}
+			tailLo[rank+1] = p
+		}
+		return kernel{
+			name: hyb.Name, y: y, nnz: hyb.NNZ(), rows: evenRows(e.Rows, ues),
+			body: func(rank int, pr *hierProber, _ bool) (float64, int) {
+				lo, hi := share(e.Rows, rank, ues)
+				compute, nnz := m.ellPass(e, l, x, y, pr, lo, hi)
+				var tiS, tjS, tvS stream
+				for p := tailLo[rank]; p < tailLo[rank+1]; p++ {
+					if addr := layTI + 4*uint64(p); tiS.crossing(addr) {
+						pr.probe(addr, false)
+					}
+					if addr := layTJ + 4*uint64(p); tjS.crossing(addr) {
+						pr.probe(addr, false)
+					}
+					if addr := layTV + 8*uint64(p); tvS.crossing(addr) {
+						pr.probe(addr, false)
+					}
+					i, j := tail.I[p], tail.J[p]
+					pr.probe(l.x+8*uint64(j), false)
+					pr.probe(l.y+8*uint64(i), true)
+					y[i] += tail.V[p] * x[j]
+					compute += m.Params.NNZComputeCycles
+					nnz++
+				}
+				return compute, nnz
+			},
+		}
+	})
+}
+
+// RunCacheBlocked simulates the cache-blocked (column-banded) CSR SpMV:
+// each core processes its row partition one column band at a time, so the
+// active x window is at most 8·bandCols bytes. The gain is x locality for
+// scattered matrices; the cost is re-walking the row structure (ptr, y
+// read-modify-write) once per non-empty band.
+func (m *Machine) RunCacheBlocked(a *sparse.CSR, bandCols, ues int) (*Result, error) {
+	if bandCols <= 0 {
+		return nil, fmt.Errorf("sim: bandCols %d must be positive", bandCols)
 	}
-	return h
+	return m.runFormat(ues, func() kernel {
+		bands := sparse.ColumnBands(a, bandCols)
+		parts := partition.ByNNZ(a, ues)
+		// Each band gets its own ptr/index/val arrays; x and y are shared
+		// across bands.
+		type bandLay struct{ ptr, index, val uint64 }
+		lays := make([]bandLay, len(bands))
+		cursor := layoutBase
+		for bi, b := range bands {
+			lays[bi].ptr = cursor
+			lays[bi].index = align(lays[bi].ptr + 4*uint64(a.Rows+1))
+			lays[bi].val = align(lays[bi].index + 4*uint64(b.NNZ()))
+			cursor = align(lays[bi].val + 8*uint64(b.NNZ()))
+		}
+		layX := cursor
+		layY := align(layX + 8*uint64(a.Cols))
+		x, y := ones(a.Cols), make([]float64, a.Rows)
+		return kernel{
+			name: a.Name, y: y, nnz: a.NNZ(),
+			rows: func(rank int) int { return len(parts[rank]) },
+			body: func(rank int, pr *hierProber, _ bool) (compute float64, nnz int) {
+				rows := parts[rank]
+				for _, ri := range rows {
+					y[ri] = 0
+				}
+				for bi, b := range bands {
+					if b.NNZ() == 0 {
+						continue
+					}
+					var ptrS, idxS, valS, yS stream
+					for _, ri := range rows {
+						i := int(ri)
+						lo, hi := b.Ptr[i], b.Ptr[i+1]
+						if lo == hi {
+							continue // skipped rows still cost the ptr walk
+						}
+						compute += m.Params.RowOverheadCycles
+						if addr := lays[bi].ptr + 4*uint64(i); ptrS.crossing(addr) {
+							pr.probe(addr, false)
+						}
+						var t float64
+						for k := lo; k < hi; k++ {
+							if addr := lays[bi].index + 4*uint64(k); idxS.crossing(addr) {
+								pr.probe(addr, false)
+							}
+							if addr := lays[bi].val + 8*uint64(k); valS.crossing(addr) {
+								pr.probe(addr, false)
+							}
+							pr.probe(layX+8*uint64(b.Index[k]), false)
+							t += b.Val[k] * x[b.Index[k]]
+							compute += m.Params.NNZComputeCycles
+							nnz++
+						}
+						y[i] += t
+						if addr := layY + 8*uint64(i); yS.crossing(addr) {
+							pr.probe(addr, true)
+						}
+					}
+				}
+				return compute, nnz
+			},
+		}
+	})
 }

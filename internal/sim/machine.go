@@ -209,6 +209,12 @@ func (o *Options) normalize() error {
 	return nil
 }
 
+// layoutBase starts every kernel's private memory window.
+const layoutBase = uint64(1) << 28
+
+// align rounds an address up to the next 64-byte boundary.
+func align(v uint64) uint64 { return (v + 63) &^ 63 }
+
 // Virtual layout of the SpMV working set in each core's private address
 // space. The bases are line-aligned and far apart so arrays never share a
 // cache line; sizes use the paper's element widths (4-byte Ptr/Index,
@@ -218,9 +224,7 @@ type layout struct {
 }
 
 func layoutFor(a *sparse.CSR) layout {
-	const base = uint64(1) << 28 // private memory window
-	align := func(v uint64) uint64 { return (v + 63) &^ 63 }
-	l := layout{ptr: base}
+	l := layout{ptr: layoutBase}
 	l.index = align(l.ptr + 4*uint64(a.Rows+1))
 	l.val = align(l.index + 4*uint64(a.NNZ()))
 	l.x = align(l.val + 8*uint64(a.NNZ()))

@@ -23,7 +23,6 @@ package sim
 // and TestAnalyticPLRUBoundedError).
 
 import (
-	"context"
 	"fmt"
 	"math/bits"
 	"sync"
@@ -261,36 +260,21 @@ func (p *profileProber) probe(addr uint64, write bool) {
 	}
 }
 
-// buildUEProfile runs one UE's walk with the profiling prober: the same
-// two-pass protocol as the exact engine (stack and L1 state warm through
-// the untimed pass; counts cover the timed pass only). ok=false means the
-// run's context was cancelled at a pass boundary.
-func (m *Machine) buildUEProfile(a *sparse.CSR, x, y []float64, rows []int32,
-	opts Options, lay layout) (ueProfile, bool) {
+func (p *profileProber) startPass(timed bool) {
+	p.recording = timed
+	p.sa.SetRecording(timed)
+}
 
-	pp := &profileProber{l1: cache.New(cache.SCCL1()), sa: trace.NewSetAnalyzer(profileSetConfig)}
-	passes := 2
-	if opts.ColdCache {
-		passes = 1
-	}
-	var compute float64
-	var nnz int
-	for pass := 0; pass < passes; pass++ {
-		if opts.ctx().Err() != nil {
-			return ueProfile{}, false
-		}
-		timed := pass == passes-1
-		pp.recording = timed
-		pp.sa.SetRecording(timed)
-		compute, nnz = runPass(m, a, x, y, rows, pp, opts, lay, timed)
-	}
+// profile packages the timed pass's counts and arithmetic outcome with the
+// UE's owned y values, aligned with its partition rows.
+func (p *profileProber) profile(compute float64, nnz int, y []float64, rows []int32) ueProfile {
 	up := ueProfile{
-		accesses:     pp.accesses,
-		l1Hits:       pp.l1Hits,
-		demandReads:  pp.demandReads,
-		demandStores: pp.demandStores,
-		fwdStores:    pp.fwdStores,
-		sets:         pp.sa.Profile(),
+		accesses:     p.accesses,
+		l1Hits:       p.l1Hits,
+		demandReads:  p.demandReads,
+		demandStores: p.demandStores,
+		fwdStores:    p.fwdStores,
+		sets:         p.sa.Profile(),
 		compute:      compute,
 		nnz:          nnz,
 		y:            make([]float64, len(rows)),
@@ -298,7 +282,7 @@ func (m *Machine) buildUEProfile(a *sparse.CSR, x, y []float64, rows []int32,
 	for i, ri := range rows {
 		up.y[i] = y[ri]
 	}
-	return up, true
+	return up
 }
 
 // priceStats converts one UE's profile into the HierarchyStats the exact
@@ -360,35 +344,34 @@ func fetchOrBuildProfile(lead *Machine, a *sparse.CSR, x, y []float64,
 		profilesReused.Add(1)
 		return v.(*cellProfile), nil
 	}
-	built := &cellProfile{perUE: make([]ueProfile, opts.UEs)}
-	walked := make([]bool, opts.UEs)
-	poolErr := uePool.ForEachCtx(ctx, opts.UEs, opts.workers(), func(rank int) {
-		built.perUE[rank], walked[rank] = lead.buildUEProfile(a, x, y, parts[rank], opts, lay)
-	})
-	if poolErr != nil {
-		return nil, poolErr
+	// Each UE runs the exact engine's pass protocol (walkPasses) with the
+	// profiling prober: stack and L1 state warm through the untimed pass,
+	// counts cover the timed pass only.
+	body := func(rank int, pp *profileProber, timed bool) (float64, int) {
+		return runPass(lead, a, x, y, parts[rank], pp, opts, lay, timed)
 	}
-	for _, ok := range walked {
-		if !ok {
-			// A walk aborted at a pass boundary (cancellation) after the
-			// pool stopped noticing: surface the context error rather than
-			// a torn profile.
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			return nil, context.Canceled
+	built := &cellProfile{perUE: make([]ueProfile, opts.UEs)}
+	err := uePool.ForEachCtx(ctx, opts.UEs, opts.workers(), func(rank int) {
+		pp := &profileProber{l1: cache.New(cache.SCCL1()), sa: trace.NewSetAnalyzer(profileSetConfig)}
+		if compute, nnz, ok := walkPasses(&opts, rank, pp, body); ok {
+			built.perUE[rank] = pp.profile(compute, nnz, y, parts[rank])
 		}
+	})
+	if err != nil {
+		// Cancelled: walks that stopped at a pass boundary left holes, so
+		// nothing is persisted.
+		return nil, err
 	}
 	profilesBuilt.Add(1)
 	opts.Profiles.PutBlob(key, built, built.SizeBytes())
 	return built, nil
 }
 
-// analyticSweep is the fast-path twin of the exact per-UE pool in
-// RunSpMVSweep: fetch or build the cell profile (one L1+profile walk per
-// UE, fanned over the same pool), then price every (machine, UE) pair in
-// O(ways) and replay the recorded y values into the shared scratch.
-// Results land in results[j].PerCore exactly like the exact path's.
+// analyticSweep is the fast-path twin of walkExact for CSR runs: fetch or
+// build the cell profile (one L1+profile walk per UE, fanned over the same
+// pool), then price every (machine, UE) pair in O(ways) and replay the
+// recorded y values into the shared scratch. Results land in
+// results[j].PerCore exactly like the exact path's.
 func analyticSweep(machines []*Machine, a *sparse.CSR, x, y []float64,
 	parts [][]int32, opts Options, lay layout, results []*Result) error {
 
@@ -415,25 +398,7 @@ func analyticSweep(machines []*Machine, a *sparse.CSR, x, y []float64,
 	for j, mj := range machines {
 		for rank := 0; rank < opts.UEs; rank++ {
 			up := &prof.perUE[rank]
-			core := opts.Mapping[rank]
-			cfg := mj.Domains.ConfigFor(core)
-			hops := scc.HopsToMC(core)
-			stats := mj.priceStats(up)
-			stall := float64(stats.L2Hits)*mj.Params.L2HitCycles +
-				float64(stats.MemAccesses)*scc.MemoryLatencyCoreCycles(hops, cfg)
-			cyc := cfg.CoreCycleSec()
-			results[j].PerCore[rank] = CoreResult{
-				Rank:        rank,
-				Core:        core,
-				Hops:        hops,
-				Rows:        len(parts[rank]),
-				NNZ:         up.nnz,
-				ComputeSec:  up.compute * cyc,
-				MemStallSec: stall * cyc,
-				Slowdown:    1,
-				TimeSec:     (up.compute + stall) * cyc,
-				Cache:       stats,
-			}
+			results[j].PerCore[rank] = mj.coreResult(rank, opts.Mapping[rank], len(parts[rank]), up.nnz, up.compute, mj.priceStats(up))
 		}
 	}
 	cellsAnalytic.Add(1)

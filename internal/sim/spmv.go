@@ -54,9 +54,8 @@ func (m *Machine) RunSpMV(a *sparse.CSR, x []float64, opts Options) (*Result, er
 // that share cache geometry and timing coefficients but may differ in
 // frequency domains (e.g. conf0/conf1/conf2). The clock setting cannot
 // change which cache level satisfies an access, so the expensive cache walk
-// runs once per UE while per-configuration stall cycles accumulate in the
-// same order a dedicated run would use - every returned Result is
-// bit-identical to machines[j].RunSpMV on its own.
+// runs once per UE and every machine's stall follows from its event counts -
+// every returned Result is bit-identical to machines[j].RunSpMV on its own.
 func RunSpMVSweep(machines []*Machine, a *sparse.CSR, x []float64, opts Options) ([]*Result, error) {
 	if len(machines) == 0 {
 		return nil, fmt.Errorf("sim: sweep needs at least one machine")
@@ -68,24 +67,12 @@ func RunSpMVSweep(machines []*Machine, a *sparse.CSR, x []float64, opts Options)
 			return nil, fmt.Errorf("sim: sweep machines must share cache geometry and timing params")
 		}
 	}
-	if err := opts.normalize(); err != nil {
+	if err := prepare(machines, &opts); err != nil {
 		return nil, err
-	}
-	ctx := opts.ctx()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	for _, mj := range machines {
-		if err := mj.Domains.Validate(); err != nil {
-			return nil, err
-		}
 	}
 	xProvided := x != nil
 	if x == nil {
-		x = make([]float64, a.Cols)
-		for i := range x {
-			x[i] = 1
-		}
+		x = ones(a.Cols)
 	}
 	if len(x) != a.Cols {
 		return nil, fmt.Errorf("sim: len(x)=%d, matrix has %d columns", len(x), a.Cols)
@@ -99,59 +86,192 @@ func RunSpMVSweep(machines []*Machine, a *sparse.CSR, x []float64, opts Options)
 	if err != nil {
 		return nil, err
 	}
-
-	results := make([]*Result, len(machines))
-	for j := range machines {
-		results[j] = &Result{
-			Matrix:  a.Name,
-			Variant: opts.Variant,
-			UEs:     opts.UEs,
-			PerCore: make([]CoreResult, opts.UEs),
-		}
-	}
 	// y is computed once and shared across the sweep: the arithmetic does
 	// not depend on the clock configuration, and each UE owns a disjoint
 	// row block, so concurrent workers never touch the same element.
 	y := make([]float64, a.Rows)
 	lay := layoutFor(a)
-
+	k := kernel{
+		name: a.Name,
+		y:    y,
+		nnz:  a.NNZ(),
+		rows: func(rank int) int { return len(parts[rank]) },
+		body: func(rank int, pr *hierProber, timed bool) (float64, int) {
+			return runPass(lead, a, x, y, parts[rank], pr, opts, lay, timed)
+		},
+	}
 	if analytic {
-		if err := analyticSweep(machines, a, x, y, parts, opts, lay, results); err != nil {
-			return nil, err
-		}
-	} else {
-		cellsExact.Add(1)
-		poolErr := uePool.ForEachCtx(ctx, opts.UEs, opts.workers(), func(rank int) {
-			start := time.Now() //sccvet:allow nondeterminism write-only span instrumentation; never feeds simulated results
-			core := opts.Mapping[rank]
-			crs := lead.simCoreSweep(machines, a, x, y, parts[rank], core, opts, lay)
-			for j := range crs {
-				crs[j].Rank = rank
-				results[j].PerCore[rank] = crs[j]
-			}
-			opts.Span.Record("ue-walk", time.Since(start)) //sccvet:allow nondeterminism write-only span instrumentation; never feeds simulated results
-		})
-		if poolErr != nil {
-			// Cancelled mid-sweep: partial per-core results are discarded.
-			return nil, poolErr
+		k.priced = func(results []*Result) error {
+			return analyticSweep(machines, a, x, y, parts, opts, lay, results)
 		}
 	}
-
-	// Every Result owns its product vector: the engine's scratch y is
-	// never aliased out, so the sweep and single-run paths return
-	// structurally identical Results and callers may mutate any Y freely.
-	for j := range results {
-		results[j].Y = append([]float64(nil), y...)
+	results, err := drive(machines, opts, k)
+	if err != nil {
+		return nil, err
 	}
-	for j, mj := range machines {
-		mj.applyContention(results[j])
-		mj.addBarrierCost(results[j])
-		mj.finalize(results[j], a.NNZ())
-	}
-	simulatedFLOPs.Add(uint64(len(machines)) * uint64(2*a.NNZ()))
 	sweepRuns.Add(1)
 	sweepMachineRuns.Add(uint64(len(machines)))
 	return results, nil
+}
+
+// ones is the all-ones multiplicand every kernel defaults to.
+func ones(n int) []float64 {
+	x := make([]float64, n)
+	for i := range x {
+		x[i] = 1
+	}
+	return x
+}
+
+// prepare validates a run before anything is walked: the options (rank
+// mapping, variant, pricing) and every machine's clock domains. A context
+// that is already done fails the run here.
+func prepare(machines []*Machine, opts *Options) error {
+	if err := opts.normalize(); err != nil {
+		return err
+	}
+	if err := opts.ctx().Err(); err != nil {
+		return err
+	}
+	for _, m := range machines {
+		if err := m.Domains.Validate(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// A passBody is one storage format's kernel as the per-rank driver sees
+// it: walk rank's share of the matrix once, send every line-crossing
+// access to pr, and return the pass's compute cycles and the entries it
+// processed. timed=false marks the untimed warm-up pass. Its access stream
+// must equal the timed pass's; a body may skip the arithmetic there (CSR
+// does) as long as the timed pass produces every owned y element from
+// scratch. The driver calls a body once per pass; inside it pr has a
+// concrete type, so each per-access probe is a direct call.
+type passBody[P prober] func(rank int, pr P, timed bool) (compute float64, nnz int)
+
+// kernel is one SpMV run as the driver sees it: the format's pass body plus
+// what turns the per-rank walks into Results.
+type kernel struct {
+	// name is the Result's Matrix.
+	name string
+	// y is the product the pass bodies write, each rank its own rows.
+	y []float64
+	// nnz counts the flops' nonzeros: finalize reports 2·nnz flops.
+	nnz int
+	// rows is a rank's CoreResult.Rows.
+	rows func(rank int) int
+	// body is one exact pass over a rank's share.
+	body passBody[*hierProber]
+	// priced, when set, replaces the exact walks: it fills every Result's
+	// PerCore, and y, from a stream profile (CSR's analytic backend).
+	priced func(results []*Result) error
+}
+
+// drive is the per-rank driver every kernel runs through; opts must have
+// passed prepare. Each rank walks its share on a private cold hierarchy
+// (walkExact) unless the kernel is priced from a profile. The per-core
+// results then take memory-controller contention and the closing barrier,
+// and finalize reports 2·k.nnz flops.
+func drive(machines []*Machine, opts Options, k kernel) ([]*Result, error) {
+	results := make([]*Result, len(machines))
+	for j := range results {
+		results[j] = &Result{
+			Matrix:  k.name,
+			Variant: opts.Variant,
+			UEs:     opts.UEs,
+			PerCore: make([]CoreResult, opts.UEs),
+		}
+	}
+	var err error
+	if k.priced != nil {
+		err = k.priced(results)
+	} else {
+		err = walkExact(machines, opts, k, results)
+	}
+	if err != nil {
+		// Cancelled mid-run: partial per-core results are discarded.
+		return nil, err
+	}
+	for j, mj := range machines {
+		// Every Result owns its product vector: the kernel's y is never
+		// aliased out, so callers may mutate any Y freely.
+		results[j].Y = append([]float64(nil), k.y...)
+		mj.applyContention(results[j])
+		mj.addBarrierCost(results[j])
+		mj.finalize(results[j], k.nnz)
+	}
+	simulatedFLOPs.Add(uint64(len(machines)) * uint64(2*k.nnz))
+	return results, nil
+}
+
+// walkExact fans the ranks over uePool. Each rank runs k.body on its own
+// cold cache hierarchy, and its timed pass's event counts price every
+// swept machine.
+func walkExact(machines []*Machine, opts Options, k kernel, results []*Result) error {
+	lead := machines[0]
+	cellsExact.Add(1)
+	return uePool.ForEachCtx(opts.ctx(), opts.UEs, opts.workers(), func(rank int) {
+		start := time.Now() //sccvet:allow nondeterminism write-only span instrumentation; never feeds simulated results
+		pr := &hierProber{h: lead.newHierarchy()}
+		compute, nnz, ok := walkPasses(&opts, rank, pr, k.body)
+		if !ok {
+			return // cancelled: the pool returns the context's error
+		}
+		stats := pr.h.Stats()
+		for j, mj := range machines {
+			results[j].PerCore[rank] = mj.coreResult(rank, opts.Mapping[rank], k.rows(rank), nnz, compute, stats)
+		}
+		opts.Span.Record("ue-walk", time.Since(start)) //sccvet:allow nondeterminism write-only span instrumentation; never feeds simulated results
+	})
+}
+
+// walkPasses runs one rank's pass protocol: an untimed warm-up pass, then
+// the timed pass (only the timed pass under ColdCache). pr.startPass
+// scopes the prober's counters to the timed pass. The run's context is
+// checked at every pass boundary, the cancellation granularity: ok=false
+// means the walk stopped there, and since a context's error is permanent
+// the uePool fan-out around the walk then returns it.
+func walkPasses[P prober](opts *Options, rank int, pr P, body passBody[P]) (compute float64, nnz int, ok bool) {
+	passes := 2
+	if opts.ColdCache {
+		passes = 1
+	}
+	for pass := 0; pass < passes; pass++ {
+		if opts.ctx().Err() != nil {
+			return 0, 0, false
+		}
+		timed := pass == passes-1
+		pr.startPass(timed)
+		compute, nnz = body(rank, pr, timed)
+	}
+	return compute, nnz, true
+}
+
+// coreResult prices one rank's timed pass on machine m. Memory stalls
+// follow from the pass's event counts in closed form: every L2 hit stalls
+// L2HitCycles, every demand memory access the core's memory latency. The
+// analytic backend computes the same closed form from a stream profile, so
+// exact and analytic results agree bit-for-bit wherever the profile's LRU
+// model is exact.
+func (m *Machine) coreResult(rank int, core scc.CoreID, rows, nnz int, compute float64, stats cache.HierarchyStats) CoreResult {
+	cfg := m.Domains.ConfigFor(core)
+	hops := scc.HopsToMC(core)
+	cyc := cfg.CoreCycleSec()
+	stall := float64(stats.L2Hits)*m.Params.L2HitCycles + float64(stats.MemAccesses)*scc.MemoryLatencyCoreCycles(hops, cfg)
+	return CoreResult{
+		Rank:        rank,
+		Core:        core,
+		Hops:        hops,
+		Rows:        rows,
+		NNZ:         nnz,
+		ComputeSec:  compute * cyc,
+		MemStallSec: stall * cyc,
+		Slowdown:    1,
+		TimeSec:     (compute + stall) * cyc,
+		Cache:       stats,
+	}
 }
 
 // finalize derives the run-level metrics from the per-core results.
@@ -213,12 +333,15 @@ func (s *stream) crossing(addr uint64) bool {
 // profiler (profileProber, pricing.go).
 type prober interface {
 	probe(addr uint64, write bool)
+	// startPass begins a pass: counters cover the timed pass only, while
+	// cache and stack state carry over from the warm-up.
+	startPass(timed bool)
 }
 
-// hierProber drives one core's exact cache hierarchy. Stall cycles are no
-// longer accumulated per access: they follow from the timed pass's event
-// counts in closed form (see simCoreSweep), which is what lets the
-// analytic backend reproduce them bit-for-bit.
+// hierProber drives one core's exact cache hierarchy. Stall cycles are not
+// accumulated per access: they follow from the timed pass's event counts
+// in closed form (coreResult), which is what lets the analytic backend
+// reproduce them bit-for-bit.
 type hierProber struct {
 	h *cache.Hierarchy
 }
@@ -227,65 +350,10 @@ func (p *hierProber) probe(addr uint64, write bool) {
 	p.h.Access(addr, write)
 }
 
-// simCoreSweep executes one UE's row list on a private cold cache hierarchy
-// and returns its uncontended timing under every swept machine. It also
-// computes the UE's slice of y (once; the values are clock-independent).
-func (m *Machine) simCoreSweep(machines []*Machine, a *sparse.CSR, x, y []float64,
-	rows []int32, core scc.CoreID, opts Options, lay layout) []CoreResult {
-
-	h := m.newHierarchy()
-	hops := scc.HopsToMC(core)
-	cfgs := make([]scc.ClockConfig, len(machines))
-	memLat := make([]float64, len(machines))
-	for j, mj := range machines {
-		cfgs[j] = mj.Domains.ConfigFor(core)
-		memLat[j] = scc.MemoryLatencyCoreCycles(hops, cfgs[j])
+func (p *hierProber) startPass(timed bool) {
+	if timed {
+		p.h.ResetStats()
 	}
-	pr := &hierProber{h: h}
-
-	passes := 2 // warm-up pass + timed steady-state pass
-	if opts.ColdCache {
-		passes = 1
-	}
-	var compute float64
-	var nnz int
-	for pass := 0; pass < passes; pass++ {
-		// Cancellation granularity is the pass boundary: a cancelled walk
-		// stops before its timed pass and the (discarded) zero result is
-		// never observable because the pool propagates the context error.
-		if opts.ctx().Err() != nil {
-			return make([]CoreResult, len(machines))
-		}
-		timed := pass == passes-1
-		if timed {
-			h.ResetStats()
-		}
-		compute, nnz = runPass(m, a, x, y, rows, pr, opts, lay, timed)
-	}
-
-	// Memory stalls follow from the timed pass's event counts in closed
-	// form: every L2 hit stalls L2HitCycles, every demand memory access
-	// memLat[j]. The closed form is what the analytic pricing backend
-	// computes from a stream profile, so exact and analytic results agree
-	// bit-for-bit wherever the profile's LRU model is exact.
-	stats := h.Stats()
-	out := make([]CoreResult, len(machines))
-	for j := range out {
-		cyc := cfgs[j].CoreCycleSec()
-		stall := float64(stats.L2Hits)*m.Params.L2HitCycles + float64(stats.MemAccesses)*memLat[j]
-		out[j] = CoreResult{
-			Core:        core,
-			Hops:        hops,
-			Rows:        len(rows),
-			NNZ:         nnz,
-			ComputeSec:  compute * cyc,
-			MemStallSec: stall * cyc,
-			Slowdown:    1,
-			TimeSec:     (compute + stall) * cyc,
-			Cache:       stats,
-		}
-	}
-	return out
 }
 
 // runPass walks the rows once, returning (compute cycles, nnz); every
