@@ -41,11 +41,12 @@ func (r Replacement) String() string {
 // Config describes one cache level.
 type Config struct {
 	// SizeBytes is the total capacity; must be Ways*LineBytes*Sets with
-	// power-of-two sets.
+	// power-of-two sets and LineBytes*Sets at least 4.
 	SizeBytes int
 	// LineBytes is the line size (32 on the SCC's P54C cores).
 	LineBytes int
-	// Ways is the associativity (4 on the SCC).
+	// Ways is the associativity (4 on the SCC; at most 32 under
+	// TreePLRU).
 	Ways int
 	// WriteBack selects write-back (true, SCC L2) or write-through
 	// (false, modelling the P54C L1's default behaviour).
@@ -72,6 +73,12 @@ func (c Config) Validate() error {
 	}
 	if c.Replacement == TreePLRU && c.Ways&(c.Ways-1) != 0 {
 		return fmt.Errorf("cache: associativity %d not a power of two (tree PLRU requires it)", c.Ways)
+	}
+	if c.Replacement == TreePLRU && c.Ways > maxPLRUWays {
+		return fmt.Errorf("cache: tree PLRU associativity %d above %d (the tree word holds %d nodes)", c.Ways, maxPLRUWays, maxPLRUWays-1)
+	}
+	if c.LineBytes*sets < 1<<flagBits {
+		return fmt.Errorf("cache: line size × sets = %d is below %d: the tag would lose address bits to the line word's flags", c.LineBytes*sets, 1<<flagBits)
 	}
 	if c.Replacement != TreePLRU && c.Replacement != TrueLRU {
 		return fmt.Errorf("cache: unknown replacement policy %d", c.Replacement)
@@ -114,22 +121,39 @@ func (s Stats) MissRatio() float64 {
 	return float64(s.Misses) / float64(t)
 }
 
+// A line word packs one cache line's state as tag<<flagBits | dirty<<1 |
+// valid. An invalid line's word is 0, and a line is dirty only while valid.
+const (
+	lineValid = 1
+	lineDirty = 2
+	flagBits  = 2
+)
+
+// maxPLRUWays is the largest TreePLRU associativity: a set's tree of
+// ways-1 nodes lives in one uint32.
+const (
+	maxPLRUDepth = 5
+	maxPLRUWays  = 1 << maxPLRUDepth
+)
+
 // Cache is a single-level set-associative cache with tree pseudo-LRU.
 // It is not safe for concurrent use; simulated cores own private instances.
 type Cache struct {
 	cfg       Config
-	sets      int
-	setShift  uint // log2(LineBytes)
-	setMask   uint64
-	tags      []uint64 // sets*ways; tag 0 is valid only when valid bit set
-	valid     []bool
-	dirty     []bool
-	plru      []uint32 // one tree per set, bit-packed (ways-1 bits used)
-	stamp     []uint64 // per-line recency stamps (TrueLRU only)
-	tick      uint64   // monotonic access clock (TrueLRU only)
+	lineShift uint // log2(LineBytes)
+	tagShift  uint // log2(LineBytes*sets): the address bits below the tag
+	setMask   int
 	ways      int
-	treeDepth int
-	stats     Stats
+	// dirtyOnWrite is lineDirty in a write-back cache and 0 in a
+	// write-through one, which forwards every store instead.
+	dirtyOnWrite uint64
+	lines        []uint64 // sets*ways line words, set-major
+	plru         []uint32 // one tree per set (TreePLRU only)
+	plruTouch    []uint64 // plruTouches for this associativity
+	plruVictim   []uint8  // plruVictims for this associativity, or nil
+	stamp        []uint64 // per-line recency stamps (TrueLRU only)
+	tick         uint64   // monotonic access clock (TrueLRU only)
+	stats        Stats
 }
 
 // New builds a cache from cfg; it panics on an invalid configuration
@@ -140,20 +164,25 @@ func New(cfg Config) *Cache {
 		panic(err)
 	}
 	sets := cfg.Sets()
+	lineShift := uint(bits.TrailingZeros(uint(cfg.LineBytes)))
 	c := &Cache{
 		cfg:       cfg,
-		sets:      sets,
-		setShift:  uint(bits.TrailingZeros(uint(cfg.LineBytes))),
-		setMask:   uint64(sets - 1),
-		tags:      make([]uint64, sets*cfg.Ways),
-		valid:     make([]bool, sets*cfg.Ways),
-		dirty:     make([]bool, sets*cfg.Ways),
-		plru:      make([]uint32, sets),
+		lineShift: lineShift,
+		tagShift:  lineShift + uint(bits.TrailingZeros(uint(sets))),
+		setMask:   sets - 1,
 		ways:      cfg.Ways,
-		treeDepth: bits.TrailingZeros(uint(cfg.Ways)),
+		lines:     make([]uint64, sets*cfg.Ways),
+	}
+	if cfg.WriteBack {
+		c.dirtyOnWrite = lineDirty
 	}
 	if cfg.Replacement == TrueLRU {
 		c.stamp = make([]uint64, sets*cfg.Ways)
+	} else {
+		depth := bits.TrailingZeros(uint(cfg.Ways))
+		c.plru = make([]uint32, sets)
+		c.plruTouch = plruTouches[depth]
+		c.plruVictim = plruVictims[depth]
 	}
 	return c
 }
@@ -186,99 +215,102 @@ type Result struct {
 // at addr. A miss allocates the line (write-allocate policy for both reads
 // and writes).
 func (c *Cache) Access(addr uint64, write bool) Result {
-	line := addr >> c.setShift
-	set := int(line & c.setMask)
-	tag := line >> uint(bits.TrailingZeros(uint(c.sets)))
-	base := set * c.ways
-
-	// Probe.
-	for w := 0; w < c.ways; w++ {
-		if c.valid[base+w] && c.tags[base+w] == tag {
-			c.stats.Hits++
-			c.touch(set, w)
-			var r Result
-			r.Hit = true
-			if write {
-				if c.cfg.WriteBack {
-					c.dirty[base+w] = true
-				} else {
-					c.stats.WriteThroughs++
-					r.WroteThrough = true
-				}
-			}
-			return r
-		}
-	}
-
-	// Miss: find victim (invalid way first, else PLRU).
-	c.stats.Misses++
-	victim := -1
-	for w := 0; w < c.ways; w++ {
-		if !c.valid[base+w] {
-			victim = w
-			break
-		}
-	}
+	set, ln, key := c.locate(addr)
 	var r Result
-	if victim < 0 {
-		victim = c.victim(set)
-		c.stats.Evictions++
-		if c.dirty[base+victim] {
-			c.stats.WriteBacks++
-			r.WroteBack = true
-			r.VictimAddr = (c.tags[base+victim]<<uint(bits.TrailingZeros(uint(c.sets))) | uint64(set)) << c.setShift
-		}
-	}
-	c.tags[base+victim] = tag
-	c.valid[base+victim] = true
-	c.dirty[base+victim] = write && c.cfg.WriteBack
-	if write && !c.cfg.WriteBack {
+	if write && c.dirtyOnWrite == 0 {
 		c.stats.WriteThroughs++
 		r.WroteThrough = true
 	}
-	c.touch(set, victim)
+	if hit := probe(ln, key); hit != 0 {
+		w := bits.TrailingZeros64(hit)
+		c.stats.Hits++
+		if write {
+			ln[w] |= c.dirtyOnWrite
+		}
+		c.touch(set, w)
+		r.Hit = true
+		return r
+	}
+
+	// Miss. Fills take the lowest free way and only Flush invalidates, so
+	// a set's valid ways are a prefix: the set is full when its last way
+	// is valid, and otherwise the first invalid way is the free one.
+	c.stats.Misses++
+	var w int
+	if ln[len(ln)-1] != 0 {
+		w = c.victim(set)
+	} else {
+		for ln[w] != 0 {
+			w++
+		}
+	}
+	old := ln[w]
+	dirty := old >> 1 & lineValid
+	c.stats.Evictions += old & lineValid
+	c.stats.WriteBacks += dirty
+	r.WroteBack = dirty != 0
+	r.VictimAddr = (old>>flagBits<<(c.tagShift&63) | uint64(set)<<(c.lineShift&63)) & -dirty // 0 unless dirty
+	ln[w] = key
+	if write {
+		ln[w] |= c.dirtyOnWrite
+	}
+	c.touch(set, w)
 	return r
+}
+
+// locate returns the set addr maps to, that set's line words, and the word
+// a valid line holding addr has apart from its dirty flag. Both shifts are
+// below 64; masking them says so to the compiler, which otherwise guards
+// each against an over-wide shift.
+func (c *Cache) locate(addr uint64) (set int, ln []uint64, key uint64) {
+	set = int(addr>>(c.lineShift&63)) & c.setMask
+	base := set * c.ways
+	return set, c.lines[base : base+c.ways : base+c.ways], addr>>(c.tagShift&63)<<flagBits | lineValid
+}
+
+// probe returns the hit mask of one set: bit w is set when way w's word
+// holds key (a tag with the valid flag set). A set holds a line at most
+// once, so at most one bit is set; the scan does not branch on the words.
+func probe(ln []uint64, key uint64) (hit uint64) {
+	for w := len(ln) - 1; w >= 0; w-- {
+		hit = hit<<1 | b2u(ln[w]&^lineDirty == key)
+	}
+	return hit
+}
+
+// b2u converts a bool to 0 or 1; the compiler lowers it to a flag set, not a
+// branch.
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // Contains reports whether the line holding addr is present (no side
 // effects; does not update PLRU or stats).
 func (c *Cache) Contains(addr uint64) bool {
-	line := addr >> c.setShift
-	set := int(line & c.setMask)
-	tag := line >> uint(bits.TrailingZeros(uint(c.sets)))
-	base := set * c.ways
-	for w := 0; w < c.ways; w++ {
-		if c.valid[base+w] && c.tags[base+w] == tag {
-			return true
-		}
-	}
-	return false
+	_, ln, key := c.locate(addr)
+	return probe(ln, key) != 0
 }
 
 // Flush writes back every dirty line and invalidates the whole cache,
 // returning the number of dirty lines written back. This is the software
 // coherence operation SCC programs issue around communication phases.
 func (c *Cache) Flush() (writeBacks int) {
-	for i := range c.valid {
-		if c.valid[i] && c.dirty[i] {
-			writeBacks++
-		}
-		c.valid[i] = false
-		c.dirty[i] = false
+	for _, v := range c.lines {
+		writeBacks += int(v >> 1 & lineValid)
 	}
-	for i := range c.plru {
-		c.plru[i] = 0
-	}
+	clear(c.lines)
+	clear(c.plru)
 	return writeBacks
 }
 
 // LinesValid returns the number of currently valid lines (test/debug aid).
 func (c *Cache) LinesValid() int {
 	n := 0
-	for _, v := range c.valid {
-		if v {
-			n++
-		}
+	for _, v := range c.lines {
+		n += int(v & lineValid)
 	}
 	return n
 }
@@ -286,56 +318,83 @@ func (c *Cache) LinesValid() int {
 // victim picks the way to evict from a full set under the configured
 // replacement policy.
 func (c *Cache) victim(set int) int {
-	if c.cfg.Replacement == TrueLRU {
-		base := set * c.ways
-		v, best := 0, c.stamp[base]
-		for w := 1; w < c.ways; w++ {
-			if c.stamp[base+w] < best {
-				best, v = c.stamp[base+w], w
-			}
-		}
-		return v
+	if c.plruVictim != nil {
+		return int(c.plruVictim[c.plru[set]])
 	}
-	return c.plruVictim(set)
+	return c.victimNoTable(set)
+}
+
+// victimNoTable is victim for TrueLRU, the way with the oldest recency
+// stamp, and for tree-PLRU above maxVictimTableWays.
+func (c *Cache) victimNoTable(set int) int {
+	if c.stamp == nil {
+		return plruWalk(c.plru[set], c.ways)
+	}
+	base := set * c.ways
+	st := c.stamp[base : base+c.ways : base+c.ways]
+	v, best := 0, st[0]
+	for w, s := range st {
+		if s < best {
+			best, v = s, w
+		}
+	}
+	return v
 }
 
 // touch makes way w the most recently used of its set: a recency stamp
-// under TrueLRU, or pointing every PLRU tree node on the path to w away
-// from it.
+// under TrueLRU, or every PLRU node on the path to w pointed away from it.
 func (c *Cache) touch(set, w int) {
-	if c.cfg.Replacement == TrueLRU {
+	if c.stamp != nil {
 		c.tick++
 		c.stamp[set*c.ways+w] = c.tick
 		return
 	}
-	if c.ways == 1 {
-		return
-	}
-	tree := c.plru[set]
-	node := 0 // root at index 0; children of node i are 2i+1, 2i+2
-	for level := c.treeDepth - 1; level >= 0; level-- {
-		bit := (w >> uint(level)) & 1
-		// Point the node to the opposite half of where w lives.
-		if bit == 0 {
-			tree |= 1 << uint(node) // 1 = "victim on the right"... see plruVictim
-		} else {
-			tree &^= 1 << uint(node)
-		}
-		node = 2*node + 1 + bit
-	}
-	c.plru[set] = tree
+	m := c.plruTouch[w]
+	c.plru[set] = c.plru[set]&^uint32(m>>32) | uint32(m)
 }
 
-// plruVictim walks the PLRU tree toward the pseudo-least-recently-used way.
-func (c *Cache) plruVictim(set int) int {
-	if c.ways == 1 {
-		return 0
+// The tree-PLRU tree of a set is a heap of ways-1 nodes in a uint32: the
+// root is bit 0, the children of node i are bits 2i+1 and 2i+2, and a
+// node's bit is 1 when the victim lies in its right subtree.
+//
+// plruTouches[log2(ways)][w] packs the nodes on the path from the root to
+// way w (high half) over those of them a touch of w sets (low half), so
+// that a touch points every node on the path away from w. plruVictims
+// [log2(ways)] maps each tree value to the way plruWalk reaches, for
+// associativities up to maxVictimTableWays. Every cache of one
+// associativity shares them.
+var plruTouches, plruVictims = newPLRUTables()
+
+// maxVictimTableWays bounds a victim table at 128 entries (a 7-node tree).
+const maxVictimTableWays = 8
+
+func newPLRUTables() (touches [maxPLRUDepth + 1][]uint64, victims [maxPLRUDepth + 1][]uint8) {
+	for depth := range touches {
+		ways := 1 << depth
+		touches[depth] = make([]uint64, ways)
+		for w := range touches[depth] {
+			node := 0
+			for level := depth - 1; level >= 0; level-- {
+				bit := w >> uint(level) & 1
+				touches[depth][w] |= 1<<uint(32+node) | uint64(1-bit)<<uint(node)
+				node = 2*node + 1 + bit
+			}
+		}
+		if ways <= maxVictimTableWays {
+			victims[depth] = make([]uint8, 1<<(ways-1))
+			for tree := range victims[depth] {
+				victims[depth][tree] = uint8(plruWalk(uint32(tree), ways))
+			}
+		}
 	}
-	tree := c.plru[set]
-	node := 0
-	w := 0
-	for level := 0; level < c.treeDepth; level++ {
-		bit := int((tree >> uint(node)) & 1)
+	return touches, victims
+}
+
+// plruWalk follows a tree's bits from the root down to a leaf way.
+func plruWalk(tree uint32, ways int) int {
+	node, w := 0, 0
+	for n := 1; n < ways; n <<= 1 {
+		bit := int(tree >> uint(node) & 1)
 		w = w<<1 | bit
 		node = 2*node + 1 + bit
 	}

@@ -9,6 +9,9 @@ func TestConfigValidate(t *testing.T) {
 		SCCL1(), SCCL2(),
 		{SizeBytes: 1024, LineBytes: 64, Ways: 2},
 		{SizeBytes: 64, LineBytes: 64, Ways: 1},
+		{SizeBytes: 32 * 32, LineBytes: 32, Ways: 32},
+		{SizeBytes: 64 * 32, LineBytes: 32, Ways: 64, Replacement: TrueLRU},
+		{SizeBytes: 4, LineBytes: 1, Ways: 1},
 	}
 	for _, c := range good {
 		if err := c.Validate(); err != nil {
@@ -21,7 +24,9 @@ func TestConfigValidate(t *testing.T) {
 		{SizeBytes: 1024, LineBytes: 48, Ways: 4}, // line not pow2
 		{SizeBytes: 96 * 3, LineBytes: 32, Ways: 3},
 		{SizeBytes: -1, LineBytes: 32, Ways: 4},
-		{SizeBytes: 1536, LineBytes: 32, Ways: 4}, // 12 sets, not pow2
+		{SizeBytes: 1536, LineBytes: 32, Ways: 4},     // 12 sets, not pow2
+		{SizeBytes: 64 * 32, LineBytes: 32, Ways: 64}, // PLRU tree word holds 31 nodes
+		{SizeBytes: 2, LineBytes: 2, Ways: 1},         // no room for the line word's flags
 	}
 	for _, c := range bad {
 		if err := c.Validate(); err == nil {
@@ -377,5 +382,27 @@ func TestLRUAllowsNonPowerOfTwoWays(t *testing.T) {
 func TestReplacementString(t *testing.T) {
 	if TreePLRU.String() != "plru" || TrueLRU.String() != "lru" || Replacement(9).String() != "invalid" {
 		t.Fatal("replacement names")
+	}
+}
+
+// TestPLRUWidestTreeEvictsEveryLine fills one set at the largest accepted
+// tree-PLRU associativity and streams a hundred times as many newer lines
+// through it: every original line must be evicted. A tree with nodes beyond
+// its word would pin the lines behind the lost nodes forever.
+func TestPLRUWidestTreeEvictsEveryLine(t *testing.T) {
+	for _, ways := range []int{16, maxPLRUWays} {
+		const lineBytes = 32
+		c := New(Config{SizeBytes: lineBytes * ways, LineBytes: lineBytes, Ways: ways})
+		for i := 0; i < ways; i++ {
+			c.Access(uint64(i*lineBytes), false)
+		}
+		for i := ways; i < 101*ways; i++ {
+			c.Access(uint64(i*lineBytes), false)
+		}
+		for i := 0; i < ways; i++ {
+			if c.Contains(uint64(i * lineBytes)) {
+				t.Errorf("ways=%d: original line %d survived %d newer lines", ways, i, 100*ways)
+			}
+		}
 	}
 }

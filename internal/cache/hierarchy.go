@@ -51,9 +51,14 @@ func (s HierarchyStats) MemWriteBytes(lineBytes int) uint64 {
 }
 
 // NewHierarchy builds a hierarchy; l2 may be nil to disable the second level.
+// The L1 must be write-through, as the P54C's is: the hierarchy forwards
+// every store below it and never sees an L1 victim write-back.
 func NewHierarchy(l1, l2 *Cache) *Hierarchy {
 	if l1 == nil {
 		panic("cache: hierarchy requires an L1")
+	}
+	if l1.cfg.WriteBack {
+		panic("cache: hierarchy requires a write-through L1")
 	}
 	return &Hierarchy{L1: l1, L2: l2}
 }
@@ -97,37 +102,28 @@ func (l Level) String() string {
 // Access simulates one load or store and returns the level that satisfied it.
 func (h *Hierarchy) Access(addr uint64, write bool) Level {
 	h.events.Accesses++
-	r1 := h.L1.Access(addr, write)
-
-	// With a write-back L1 a dirty victim line flows to the next level.
-	if r1.WroteBack {
-		h.storeBelow(r1.VictimAddr)
-	}
-
-	if r1.Hit {
+	if h.L1.Access(addr, write).Hit {
 		h.events.L1Hits++
-		// A write-through L1 forwards every store below even on a hit.
-		if r1.WroteThrough {
+		// The write-through L1 forwards every store below even on a hit.
+		if write {
 			h.storeBelow(addr)
 		}
 		return LevelL1
 	}
 
-	// L1 miss: one access to the level below brings the line in. When the
-	// L1 is write-through, the store itself is also forwarded, so the
-	// below access is a store (the L2 absorbs the dirty data); with a
-	// write-back L1 the fill is a clean read.
-	forwardStore := write && r1.WroteThrough
+	// L1 miss: one access to the level below brings the line in. The
+	// write-through L1 also forwards a store, so the below access is then
+	// a store (the L2 absorbs the dirty data).
 	if h.L2 == nil {
 		h.events.MemAccesses++
 		h.events.MemLineFills++
-		if forwardStore {
+		if write {
 			h.events.MemWriteThroughs++
 		}
 		h.prefetch(addr)
 		return LevelMemory
 	}
-	r2 := h.L2.Access(addr, forwardStore)
+	r2 := h.L2.Access(addr, write)
 	if r2.WroteBack {
 		h.events.MemWriteBacks++
 	}
@@ -163,8 +159,8 @@ func (h *Hierarchy) prefetch(addr uint64) {
 	h.events.Prefetches++
 }
 
-// storeBelow forwards a store (write-through or victim write-back) to the
-// level below the L1, updating memory-traffic accounting.
+// storeBelow forwards an L1 write-through hit to the level below,
+// updating memory-traffic accounting.
 func (h *Hierarchy) storeBelow(addr uint64) {
 	if h.L2 == nil {
 		h.events.MemWriteThroughs++
@@ -194,7 +190,7 @@ func (h *Hierarchy) ResetStats() {
 // Flush flushes both levels (dirty data reaches memory) and returns the
 // number of dirty lines that reached memory.
 func (h *Hierarchy) Flush() int {
-	h.L1.Flush() // L1 is write-through in the SCC model: nothing dirty
+	h.L1.Flush() // the write-through L1 holds nothing dirty
 	if h.L2 == nil {
 		return 0
 	}

@@ -326,11 +326,13 @@ func (s *stream) crossing(addr uint64) bool {
 	return true
 }
 
-// prober receives every line-crossing access of a pass. runPass is generic
-// over it (and monomorphised per implementation, so the exact walk pays no
-// interface-dispatch cost): the exact engine plugs in the full cache
-// hierarchy (hierProber), the analytic engine the L1 + multi-geometry
-// profiler (profileProber, pricing.go).
+// prober receives every line-crossing access of a pass: the exact engine
+// plugs in the full cache hierarchy (hierProber), the analytic engine the
+// L1 + multi-geometry profiler (profileProber, pricing.go). runPass is
+// generic over it, but both implementations are pointers and so share one
+// GC-shape instantiation: every probe is an indirect call through the
+// generics dictionary, like an interface call. That call is cheap next to
+// the cache walk behind it.
 type prober interface {
 	probe(addr uint64, write bool)
 	// startPass begins a pass: counters cover the timed pass only, while
