@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build check test race chaos bench bench-smoke des-smoke perf metrics-smoke serve-smoke trace-smoke sccvet sccvet-json fmt-check ci clean
+.PHONY: all build check test race chaos bench bench-smoke des-smoke fuzz-smoke perf metrics-smoke serve-smoke trace-smoke sccvet sccvet-json fmt-check ci clean
 
 all: build
 
@@ -66,8 +66,9 @@ chaos:
 # RCCE backends render bit-identical tables), the daemon smoke (which
 # exercises the job API and result cache over real HTTP), and the
 # telemetry smoke (Prometheus exposition, trace export and the flight
-# recorder's post-mortem path).
-ci: check sccvet-json race chaos bench-smoke des-smoke serve-smoke trace-smoke
+# recorder's post-mortem path), and the fuzz smoke (a short fixed run
+# of every fuzz target past its seed corpus).
+ci: check sccvet-json race chaos bench-smoke des-smoke serve-smoke trace-smoke fuzz-smoke
 
 bench:
 	$(GO) test -bench=. -benchmem
@@ -91,6 +92,14 @@ des-smoke:
 	cmp /tmp/des-smoke/goroutine/rcce-scaling.txt /tmp/des-smoke/des/rcce-scaling.txt
 	cmp /tmp/des-smoke/goroutine/rcce-scaling.csv /tmp/des-smoke/des/rcce-scaling.csv
 	@echo "des-smoke: goroutine and des tables are bit-identical"
+
+# fuzz-smoke runs each fuzz target for a short fixed -fuzztime beyond
+# its seed corpus (which plain go test already replays): the
+# MatrixMarket parser and the sccsimd job canonicaliser. A crasher is
+# written under the package's testdata/fuzz and fails the target.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzReadMatrixMarket$$' -fuzztime 10s ./internal/sparse
+	$(GO) test -run '^$$' -fuzz '^FuzzJobConfigCanonical$$' -fuzztime 10s ./internal/serve
 
 # perf times the serial vs parallel engine on a full fig9 sweep and writes
 # the BENCH_fig9.json record.

@@ -39,6 +39,12 @@ type Event struct {
 // wedged job's snapshot always holds the LAST events before the wedge,
 // which are the ones a post-mortem needs.
 //
+// The ring's slots are allocated on demand: a recorder that saw one
+// event holds one slot, and the buffer doubles (clamped at the bound)
+// until it reaches its bound, after which it wraps in place. A daemon
+// retaining thousands of born-done jobs therefore pays for the events
+// they recorded, not for the bound.
+//
 // Like every metric here the recorder is write-only for the engine:
 // nothing reads it back mid-run, so arming it cannot change a result
 // byte. A nil *Recorder accepts every call and records nothing, which
@@ -46,6 +52,7 @@ type Event struct {
 type Recorder struct {
 	mu      sync.Mutex
 	buf     []Event
+	size    int    // the ring's bound; buf grows to it, then wraps
 	head    int    // next write position
 	total   uint64 // events ever recorded (also the Seq source)
 	started time.Time
@@ -56,12 +63,13 @@ type Recorder struct {
 const DefaultFlightEvents = 256
 
 // NewRecorder builds a flight recorder holding the last n events
-// (n <= 0 selects DefaultFlightEvents).
+// (n <= 0 selects DefaultFlightEvents). No slot is allocated until the
+// first event arrives.
 func NewRecorder(n int) *Recorder {
 	if n <= 0 {
 		n = DefaultFlightEvents
 	}
-	return &Recorder{buf: make([]Event, 0, n), started: now()}
+	return &Recorder{size: n, started: now()}
 }
 
 // Record appends an instant event, stamping sequence and time.
@@ -93,16 +101,28 @@ func (r *Recorder) record(e Event) {
 	r.total++
 	e.Seq = r.total
 	e.UnixNano = now().UnixNano()
-	if len(r.buf) < cap(r.buf) {
+	if len(r.buf) < r.size {
+		if len(r.buf) == cap(r.buf) {
+			r.grow()
+		}
 		r.buf = append(r.buf, e)
 	} else {
 		r.buf[r.head] = e
 	}
 	r.head++
-	if r.head == cap(r.buf) {
+	if r.head == r.size {
 		r.head = 0
 	}
 	r.mu.Unlock()
+}
+
+// grow doubles the filling ring's slots, clamped at its bound (append's
+// own growth policy would round past a non-power-of-two bound); callers
+// hold r.mu.
+func (r *Recorder) grow() {
+	buf := make([]Event, len(r.buf), min(max(2*cap(r.buf), 1), r.size))
+	copy(buf, r.buf)
+	r.buf = buf
 }
 
 // FlightSnapshot is the exported tail of a recorder: the retained
@@ -125,7 +145,7 @@ func (r *Recorder) Snapshot() *FlightSnapshot {
 	defer r.mu.Unlock()
 	n := len(r.buf)
 	out.Events = make([]Event, 0, n)
-	if n < cap(r.buf) {
+	if n < r.size {
 		out.Events = append(out.Events, r.buf...)
 	} else {
 		out.Events = append(out.Events, r.buf[r.head:]...)

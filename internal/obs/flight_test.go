@@ -48,6 +48,50 @@ func TestRecorderPartialFill(t *testing.T) {
 	}
 }
 
+// TestRecorderGrowsOnDemand pins the on-demand ring: a fresh recorder
+// holds no slots, the buffer never outgrows its bound (including bounds
+// append's own growth would round past), and every snapshot - filling,
+// full and wrapped - is the last min(count, n) events, oldest first,
+// with the rest counted as dropped.
+func TestRecorderGrowsOnDemand(t *testing.T) {
+	for _, tc := range []struct{ n, events int }{
+		{1000, 2500}, // wraps twice, off a power of two
+		{1, 5},
+		{8, 5}, // partial fill
+		{3, 3}, // exactly full
+	} {
+		r := NewRecorder(tc.n)
+		if c := cap(r.buf); c != 0 {
+			t.Fatalf("n=%d: fresh recorder holds %d slots, want 0", tc.n, c)
+		}
+		for i := 0; i < tc.events; i++ {
+			r.Record("trk", "k", fmt.Sprintf("e%d", i), "")
+			if c := cap(r.buf); c > tc.n {
+				t.Fatalf("n=%d: %d slots after %d events, bound is %d", tc.n, c, i+1, tc.n)
+			}
+			count := i + 1
+			if count != tc.events && count%97 != 0 && count > 2*tc.n {
+				continue // snapshot a sample once the ring has wrapped twice
+			}
+			snap := r.Snapshot()
+			kept := min(count, tc.n)
+			if len(snap.Events) != kept || r.Len() != kept {
+				t.Fatalf("n=%d after %d: retained %d (Len %d), want %d", tc.n, count, len(snap.Events), r.Len(), kept)
+			}
+			if want := uint64(count - kept); snap.Dropped != want {
+				t.Fatalf("n=%d after %d: dropped %d, want %d", tc.n, count, snap.Dropped, want)
+			}
+			for k, e := range snap.Events {
+				first := count - kept
+				if want := fmt.Sprintf("e%d", first+k); e.Name != want || e.Seq != uint64(first+k+1) {
+					t.Fatalf("n=%d after %d: event %d = %q seq %d, want %q seq %d",
+						tc.n, count, k, e.Name, e.Seq, want, first+k+1)
+				}
+			}
+		}
+	}
+}
+
 func TestRecorderNilSafe(t *testing.T) {
 	var r *Recorder
 	r.Record("a", "b", "c", "d")

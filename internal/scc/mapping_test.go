@@ -1,6 +1,7 @@
 package scc
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -170,7 +171,17 @@ func TestQuickMappingsValid(t *testing.T) {
 		}
 		return dr.MeanHops() <= std.MeanHops()+1e-9
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+	if err := quick.Check(f, quickConfig(t, 60)); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// quickSeed seeds every property's random source, so a failure reproduces.
+const quickSeed = 1
+
+// quickConfig returns a quick.Config drawing its inputs from quickSeed.
+func quickConfig(t *testing.T, maxCount int) *quick.Config {
+	t.Helper()
+	t.Logf("quick seed %d", quickSeed)
+	return &quick.Config{MaxCount: maxCount, Rand: rand.New(rand.NewSource(quickSeed))}
 }

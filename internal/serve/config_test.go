@@ -1,8 +1,12 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
+
+	"repro/internal/experiments"
 )
 
 func mustCanonical(t *testing.T, cfg JobConfig) JobConfig {
@@ -93,4 +97,56 @@ func TestKeyIsVersioned(t *testing.T) {
 	if !strings.HasPrefix(c.Key(), "sccsimd-job/v1|") {
 		t.Errorf("key %q lacks the schema-version prefix", c.Key())
 	}
+}
+
+// FuzzJobConfigCanonical hardens the job canonicaliser: any JSON body
+// the daemon accepts and Canonical normalizes must be a fixed point of
+// Canonical, keep its Hash, and keep both across the JSON round trip a
+// client makes when it resubmits a status payload's config.
+func FuzzJobConfigCanonical(f *testing.F) {
+	for _, e := range experiments.All() {
+		f.Add([]byte(`{"experiment":"` + e.ID + `"}`))
+	}
+	for _, p := range []string{"", "auto", "exact", "analytic", "bogus"} {
+		for _, eng := range []string{"", "goroutine", "des", "bogus"} {
+			f.Add([]byte(`{"experiment":"fig3","scale":0.05,"stride":16,"pricing":"` + p + `","engine":"` + eng + `"}`))
+		}
+	}
+	f.Add([]byte(`{"experiment":"fig9","scale":1,"max_matrices":3,"fail_fast":true,"parallelism":2,"deadline_sec":1.5}`))
+	f.Add([]byte(`{"experiment":"fig5","scale":-1,"stride":-2}`))
+	f.Add([]byte(`{"experiment":""}`))
+	f.Add([]byte(`not json`))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var cfg JobConfig
+		dec := json.NewDecoder(bytes.NewReader(body))
+		dec.DisallowUnknownFields()
+		if dec.Decode(&cfg) != nil {
+			return
+		}
+		canon, err := cfg.Canonical()
+		if err != nil {
+			return // rejection is fine; panics are not
+		}
+		again, err := canon.Canonical()
+		if err != nil {
+			t.Fatalf("Canonical rejected its own output %+v: %v", canon, err)
+		}
+		if again != canon {
+			t.Fatalf("Canonical not idempotent: %+v -> %+v", canon, again)
+		}
+		if again.Hash() != canon.Hash() {
+			t.Fatalf("Hash moved under re-canonicalisation: %s -> %s", canon.Hash(), again.Hash())
+		}
+		wire, err := json.Marshal(canon)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back JobConfig
+		if err := json.Unmarshal(wire, &back); err != nil {
+			t.Fatal(err)
+		}
+		if back, err = back.Canonical(); err != nil || back != canon || back.Hash() != canon.Hash() {
+			t.Fatalf("JSON round trip moved the config: %+v -> %+v (%v)", canon, back, err)
+		}
+	})
 }

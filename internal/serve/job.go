@@ -61,9 +61,10 @@ type Job struct {
 	span  *obs.Span
 	scope *obs.CounterScope
 	// rec is the job's flight recorder: a bounded ring of structured
-	// events kept for post-mortems. Allocated at submission so queued
-	// state transitions are captured too; surfaced on the status payload
-	// only when the job fails or is cancelled.
+	// events kept for post-mortems. Created at submission so the born
+	// state (queued, or done for a result-store hit) is captured too;
+	// surfaced on the status payload only when the job fails or is
+	// cancelled, and on the job's trace export always.
 	rec *obs.Recorder
 	// done closes when the job reaches a terminal state (long-poll wait).
 	done chan struct{}
@@ -94,8 +95,10 @@ type JobStatus struct {
 	Flight *obs.FlightSnapshot `json:"flight,omitempty"`
 }
 
+// newJob mints a queued job with an empty flight recorder; the caller
+// records the born state.
 func newJob(id string, cfg JobConfig, flightEvents int) *Job {
-	j := &Job{
+	return &Job{
 		ID:      id,
 		Hash:    cfg.Hash(),
 		Config:  cfg,
@@ -104,8 +107,6 @@ func newJob(id string, cfg JobConfig, flightEvents int) *Job {
 		done:    make(chan struct{}),
 		rec:     obs.NewRecorder(flightEvents),
 	}
-	j.rec.Record(jobTrack, "state", string(StateQueued), "job "+id+" accepted")
-	return j
 }
 
 // finish moves the job to a terminal state exactly once.

@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"math/rand"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -586,27 +587,45 @@ func TestServeRunShutsDownGracefully(t *testing.T) {
 	}
 }
 
-// TestServeJobPruning pins the retention cap: finished jobs beyond
-// MaxJobs are pruned oldest-first, live ones never.
-func TestServeJobPruning(t *testing.T) {
-	s := NewServer(ServerConfig{Workers: 1, MaxJobs: 3})
-	// Seed the store so submissions are born-done (no workers needed).
+// seedHit stores a result for tinyJob, so its submissions are born done
+// without a worker.
+func seedHit(t testing.TB, s *Server) {
+	t.Helper()
 	canon, err := tinyJob().Canonical()
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.Store().Put(&Result{Hash: canon.Hash(), Experiment: "fig3", Title: "t", Tables: 1, Text: []byte("x"), CSV: []byte("y")})
+}
 
+// submitID submits cfg and returns the job's ID, failing on a
+// rejection or an unexpected cache outcome.
+func submitID(t testing.TB, s *Server, cfg JobConfig, wantHit bool) string {
+	t.Helper()
+	out, err := s.Submit(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Cached != wantHit {
+		t.Fatalf("submission cached=%v, want %v", out.Cached, wantHit)
+	}
+	return out.Status.ID
+}
+
+// TestServeJobPruning pins the retention cap: finished jobs beyond
+// MaxJobs are pruned oldest-first, live ones never, and the survivors
+// keep their submission order.
+func TestServeJobPruning(t *testing.T) {
+	s := NewServer(ServerConfig{Workers: 1, MaxJobs: 3}) // workers never started
+	seedHit(t, s)
+	// A job nobody executes stays queued - in flight - at the oldest
+	// position, ahead of every finished record.
+	live := tinyJob()
+	live.Stride = 2
+	liveID := submitID(t, s, live, false)
 	var ids []string
 	for i := 0; i < 6; i++ {
-		out, err := s.Submit(tinyJob())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !out.Cached {
-			t.Fatal("seeded submission was not a cache hit")
-		}
-		ids = append(ids, out.Status.ID)
+		ids = append(ids, submitID(t, s, tinyJob(), true))
 	}
 	s.mu.Lock()
 	n := len(s.jobs)
@@ -614,10 +633,131 @@ func TestServeJobPruning(t *testing.T) {
 	if n > 3 {
 		t.Errorf("%d job records retained, cap is 3", n)
 	}
+	if _, ok := s.Job(liveID); !ok {
+		t.Error("in-flight job at the oldest position was pruned")
+	}
 	if _, ok := s.Job(ids[0]); ok {
 		t.Error("oldest finished job survived pruning")
 	}
 	if _, ok := s.Job(ids[len(ids)-1]); !ok {
 		t.Error("newest job was pruned")
+	}
+	want := []string{liveID, ids[4], ids[5]}
+	if got := s.orderSnapshot(); strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Errorf("retained order %v, want %v", got, want)
+	}
+}
+
+// TestServePruningMatchesFullScan drives a mix of hits, in-flight
+// submissions and finishing jobs through a small table and checks each
+// step against the full-table scan pruning is defined by: the same
+// records dropped, the survivors in the same order, and a pruned prefix
+// that stays cleared and no longer than the live table.
+func TestServePruningMatchesFullScan(t *testing.T) {
+	const maxJobs = 8
+	// Workers never start, so the queue keeps even the finished jobs.
+	s := NewServer(ServerConfig{Workers: 1, MaxJobs: maxJobs, QueueDepth: 4096})
+	seedHit(t, s)
+	rng := rand.New(rand.NewSource(1))
+	var model []string // the reference submission order of retained jobs
+	var flying []*Job
+	stride := tinyJob().Stride // in-flight configs take the strides above tinyJob's
+	for step := 0; step < 3000; step++ {
+		if len(flying) > 0 && rng.Intn(5) == 0 {
+			k := rng.Intn(len(flying))
+			s.finishJob(flying[k], StateCancelled, "finished by the test")
+			flying = append(flying[:k], flying[k+1:]...)
+			continue
+		}
+		terminal := map[string]bool{}
+		for _, id := range model {
+			j, _ := s.Job(id)
+			terminal[id] = j.State().Terminal()
+		}
+		var id string
+		if len(flying) < 20 && rng.Intn(4) == 0 {
+			stride++
+			cfg := tinyJob()
+			cfg.Stride = stride
+			id = submitID(t, s, cfg, false)
+			j, _ := s.Job(id)
+			flying = append(flying, j)
+		} else {
+			id = submitID(t, s, tinyJob(), true)
+		}
+		// The reference: one pass over the whole table, dropping the
+		// oldest finished records until the excess is gone.
+		model = append(model, id)
+		excess := len(model) - maxJobs
+		kept := model[:0]
+		for _, m := range model {
+			if excess > 0 && terminal[m] {
+				excess--
+				continue
+			}
+			kept = append(kept, m)
+		}
+		model = kept
+
+		got := s.orderSnapshot()
+		if strings.Join(got, ",") != strings.Join(model, ",") {
+			t.Fatalf("step %d: retained %v, full scan retains %v", step, got, model)
+		}
+		s.mu.Lock()
+		records, head, total := len(s.jobs), s.orderHead, len(s.order)
+		prefix := strings.Join(s.order[:head], "")
+		s.mu.Unlock()
+		if records != len(model) {
+			t.Fatalf("step %d: %d job records for %d retained IDs", step, records, len(model))
+		}
+		if head > total-head {
+			t.Fatalf("step %d: pruned prefix %d outgrew the %d live IDs", step, head, total-head)
+		}
+		if prefix != "" {
+			t.Fatalf("step %d: pruned prefix still holds IDs", step)
+		}
+	}
+}
+
+// TestServeHitRecordsBornDone: a result-store hit is born done, so its
+// flight recorder holds exactly that one transition - not a queued job
+// that never finished - while a real submission is born queued.
+func TestServeHitRecordsBornDone(t *testing.T) {
+	s := NewServer(ServerConfig{Workers: 1}) // workers never started
+	seedHit(t, s)
+	j, _ := s.Job(submitID(t, s, tinyJob(), true))
+	snap := j.rec.Snapshot()
+	if len(snap.Events) != 1 || snap.Dropped != 0 {
+		t.Fatalf("hit job recorded %d events (dropped %d), want exactly 1", len(snap.Events), snap.Dropped)
+	}
+	if e := snap.Events[0]; e.Track != jobTrack || e.Kind != "state" ||
+		e.Name != string(StateDone) || e.Detail != "served from result store" {
+		t.Errorf("hit job event = %+v, want a done state transition served from the store", e)
+	}
+
+	miss := tinyJob()
+	miss.Stride = 2
+	q, _ := s.Job(submitID(t, s, miss, false))
+	snap = q.rec.Snapshot()
+	if len(snap.Events) != 1 || snap.Events[0].Name != string(StateQueued) {
+		t.Errorf("queued job events = %+v, want one queued transition", snap.Events)
+	}
+}
+
+// BenchmarkSubmitHitFullTable times a result-store hit against a job
+// table already at the default MaxJobs, where every submission prunes
+// the oldest finished record.
+func BenchmarkSubmitHitFullTable(b *testing.B) {
+	s := NewServer(ServerConfig{Workers: 1})
+	seedHit(b, s)
+	for i := 0; i < s.cfg.MaxJobs; i++ {
+		submitID(b, s, tinyJob(), true)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.Submit(tinyJob()); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -69,7 +69,9 @@ type ServerConfig struct {
 	// engine (chaos tests; nil injects nothing).
 	Fault *fault.Plan
 	// FlightEvents bounds each job's flight-recorder ring - the last N
-	// structured events retained for post-mortems (0 = 1024).
+	// structured events retained for post-mortems (0 = 1024). The ring
+	// grows on demand up to the bound, so a job holds slots only for the
+	// events it recorded (a result-store hit holds one).
 	FlightEvents int
 }
 
@@ -106,11 +108,15 @@ type Server struct {
 	matrices *sparse.MatrixCache
 	queue    chan *Job
 
-	mu       sync.Mutex
-	jobs     map[string]*Job // by job ID
-	order    []string        // submission order, for pruning
-	inflight map[string]*Job // hash -> queued/running job (single-flight)
-	nextID   uint64
+	mu   sync.Mutex
+	jobs map[string]*Job // by job ID
+	// order[orderHead:] lists the retained jobs' IDs in submission order,
+	// for pruning; order[:orderHead] is the pruned prefix, cleared and
+	// reclaimed once it outgrows the live part.
+	order     []string
+	orderHead int
+	inflight  map[string]*Job // hash -> queued/running job (single-flight)
+	nextID    uint64
 }
 
 // NewServer builds a daemon from the configuration (zero fields take
@@ -169,12 +175,14 @@ func (s *Server) Submit(cfg JobConfig) (SubmitOutcome, error) {
 		j.cached = true
 		j.finished = j.created
 		close(j.done)
+		j.rec.Record(jobTrack, "state", string(StateDone), "served from result store")
 		s.mu.Unlock()
 		jobsCacheHits.Add(1)
 		jobsCompleted.Add(1)
 		return SubmitOutcome{Status: j.status(s.store), Cached: true}, nil
 	}
 	j := s.newJobLocked(canon)
+	j.rec.Record(jobTrack, "state", string(StateQueued), "job "+j.ID+" accepted")
 	select {
 	case s.queue <- j:
 		s.inflight[hash] = j
@@ -191,7 +199,9 @@ func (s *Server) Submit(cfg JobConfig) (SubmitOutcome, error) {
 	}
 }
 
-// newJobLocked mints a job record and registers it; callers hold s.mu.
+// newJobLocked mints a job record and registers it; callers hold s.mu
+// and record the job's born state. The job is still queued while the
+// table is pruned, so a submission never prunes its own record.
 func (s *Server) newJobLocked(cfg JobConfig) *Job {
 	s.nextID++
 	id := fmt.Sprintf("job-%06d", s.nextID)
@@ -203,23 +213,48 @@ func (s *Server) newJobLocked(cfg JobConfig) *Job {
 }
 
 // pruneLocked drops the oldest finished job records beyond MaxJobs;
-// callers hold s.mu. Queued/running jobs (still in flight) survive.
+// callers hold s.mu. Queued/running jobs (still in flight) survive in
+// place. The scan starts at the oldest record and stops once the excess
+// is dropped, so a full table pays for the records it drops and the
+// in-flight ones it passes, not for the whole table.
 func (s *Server) pruneLocked() {
 	excess := len(s.jobs) - s.cfg.MaxJobs
 	if excess <= 0 {
 		return
 	}
-	kept := s.order[:0]
-	for _, id := range s.order {
-		j := s.jobs[id]
-		if excess > 0 && j != nil && j.State().Terminal() {
+	// Survivors of the scanned stretch are packed at its front, then
+	// moved up against the unscanned rest; what they leave behind joins
+	// the pruned prefix.
+	head, kept, i := s.orderHead, s.orderHead, s.orderHead
+	for ; excess > 0 && i < len(s.order); i++ {
+		id := s.order[i]
+		if j := s.jobs[id]; j != nil && j.State().Terminal() {
 			delete(s.jobs, id)
 			excess--
 			continue
 		}
-		kept = append(kept, id)
+		s.order[kept] = id
+		kept++
 	}
-	s.order = kept
+	s.orderHead = i - (kept - head)
+	copy(s.order[s.orderHead:i], s.order[head:kept])
+	clear(s.order[head:s.orderHead])
+	if live := len(s.order) - s.orderHead; s.orderHead > live {
+		// The pruned prefix outgrew the live part: slide the live IDs
+		// down (amortised O(1) per pruned record), so the backing array
+		// stays within twice the retained table.
+		copy(s.order, s.order[s.orderHead:])
+		clear(s.order[live:])
+		s.order = s.order[:live]
+		s.orderHead = 0
+	}
+}
+
+// orderSnapshot copies the retained job IDs, oldest first.
+func (s *Server) orderSnapshot() []string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return append([]string(nil), s.order[s.orderHead:]...)
 }
 
 // Job looks a job record up by ID.
@@ -487,9 +522,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	ids := append([]string(nil), s.order...)
-	s.mu.Unlock()
+	ids := s.orderSnapshot()
 	statuses := make([]JobStatus, 0, len(ids))
 	for _, id := range ids {
 		if j, ok := s.Job(id); ok {
@@ -703,12 +736,10 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 
 // handleFlight dumps the flight recorders of every wrecked (failed or
 // cancelled) retained job, newest last - the daemon-wide post-mortem
-// view. Done jobs drop their tails; queued/running ones are still
-// flying.
+// view. Done jobs keep their tails (on /api/v1/jobs/{id}/trace) but are
+// not listed here; queued/running ones are still flying.
 func (s *Server) handleFlight(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	ids := append([]string(nil), s.order...)
-	s.mu.Unlock()
+	ids := s.orderSnapshot()
 	type wreck struct {
 		ID     string              `json:"id"`
 		State  JobState            `json:"state"`

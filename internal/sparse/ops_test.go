@@ -153,7 +153,7 @@ func TestQuickAddDistributes(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
+	if err := quick.Check(f, quickConfig(t, 20)); err != nil {
 		t.Fatal(err)
 	}
 }
