@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build check test race chaos bench bench-smoke des-smoke fuzz-smoke perf metrics-smoke serve-smoke trace-smoke sccvet sccvet-json fmt-check ci clean
+.PHONY: all build check test race chaos bench des-smoke fuzz-smoke metrics-smoke serve-smoke trace-smoke sccvet sccvet-json fmt-check ci clean
 
 all: build
 
@@ -15,9 +15,12 @@ build:
 # suite plus the v2 flow-aware service-era suite), and the full test
 # suite. The tree must be sccvet-clean: every surviving suppression
 # carries a "//sccvet:allow <analyzer> <reason>" directive AND suppresses
-# something (stale directives are findings).
+# something (stale directives are findings). perfbench is a nested
+# module that root ./... never reaches, so check also vets it: a change to
+# the main module's API that breaks the benchmark fails here.
 check: fmt-check
 	$(GO) vet ./...
+	cd perfbench && $(GO) vet ./...
 	$(GO) run ./cmd/sccvet ./...
 	$(GO) test ./...
 
@@ -61,24 +64,18 @@ chaos:
 
 # ci is the full pre-merge pipeline: the check gate, the recorded sccvet
 # findings report, the race detector over the host-concurrent packages,
-# the chaos suite, the bench smoke (which exercises all three engine legs
-# end to end), the DES smoke (which proves the goroutine and virtual-time
-# RCCE backends render bit-identical tables), the daemon smoke (which
-# exercises the job API and result cache over real HTTP), and the
-# telemetry smoke (Prometheus exposition, trace export and the flight
-# recorder's post-mortem path), and the fuzz smoke (a short fixed run
-# of every fuzz target past its seed corpus).
-ci: check sccvet-json race chaos bench-smoke des-smoke serve-smoke trace-smoke fuzz-smoke
+# the chaos suite, the DES smoke (which proves the goroutine and
+# virtual-time RCCE backends render bit-identical tables), the daemon
+# smoke (which exercises the job API and result cache over real HTTP),
+# the telemetry smoke (Prometheus exposition, trace export and the flight
+# recorder's post-mortem path), the fuzz smoke (a short fixed run of
+# every fuzz target past its seed corpus), and last the benchmark
+# module's own tests.
+ci: check sccvet-json race chaos des-smoke serve-smoke trace-smoke fuzz-smoke
+	cd perfbench && $(GO) test ./...
 
 bench:
 	$(GO) test -bench=. -benchmem
-
-# bench-smoke drives the three-leg bench harness (serial reference,
-# parallel exact, analytic pricing) on a tiny geometry sweep and writes
-# BENCH_ablation-l2geom.json to /tmp. It proves the trace-once/price-many
-# fast path end to end without taking real-bench time.
-bench-smoke:
-	$(GO) run ./cmd/sccsim -exp bench -benchexp ablation-l2geom -scale 0.05 -stride 16 -outdir /tmp
 
 # des-smoke runs the executable rcce-scaling sweep once per RCCE backend
 # (the goroutine oracle and the virtual-time discrete-event scheduler) on
@@ -95,16 +92,13 @@ des-smoke:
 
 # fuzz-smoke runs each fuzz target for a short fixed -fuzztime beyond
 # its seed corpus (which plain go test already replays): the
-# MatrixMarket parser and the sccsimd job canonicaliser. A crasher is
-# written under the package's testdata/fuzz and fails the target.
+# MatrixMarket parser, the sccsimd job canonicaliser and the mesh
+# geometry parser. A crasher is written under the package's testdata/fuzz
+# and fails the target.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadMatrixMarket$$' -fuzztime 10s ./internal/sparse
 	$(GO) test -run '^$$' -fuzz '^FuzzJobConfigCanonical$$' -fuzztime 10s ./internal/serve
-
-# perf times the serial vs parallel engine on a full fig9 sweep and writes
-# the BENCH_fig9.json record.
-perf:
-	$(GO) run ./cmd/sccsim -exp bench -benchexp fig9
+	$(GO) test -run '^$$' -fuzz '^FuzzParseGeometry$$' -fuzztime 10s ./internal/scc
 
 # serve-smoke proves the sccsimd job daemon end to end: an in-process
 # daemon on a loopback port runs a tiny job twice over real HTTP and
@@ -132,4 +126,4 @@ trace-smoke:
 
 clean:
 	$(GO) clean ./...
-	rm -f BENCH_*.json cpu.pprof mem.pprof
+	rm -f cpu.pprof mem.pprof

@@ -1,269 +1,22 @@
-// Package repro's benchmark harness: one testing.B benchmark per paper
-// table/figure (each iteration regenerates the artefact at the quick scale
-// and reports its headline number as a custom metric), plus micro-benchmarks
-// of the underlying kernels and simulator.
+// Package repro's root micro-benchmarks: the host SpMV kernels, the
+// simulator on the default tree-PLRU machine, CG and RCM reordering - the
+// paths no package benchmark or perfbench layer already times.
 //
 //	go test -bench=. -benchmem
 //
-// For paper-scale runs use cmd/sccsim with -scale 1.0 instead; benchmarks
-// deliberately run the reduced configuration so the full suite stays under
-// a few minutes.
+// Repeated, noise-banded end-to-end timing of the paper's sweeps lives in
+// the perfbench module (bash perfbench/run.sh); golden digests pin what
+// each experiment renders.
 package repro
 
 import (
-	"strconv"
-	"strings"
 	"testing"
 
-	"repro/internal/cache"
-	"repro/internal/experiments"
 	"repro/internal/scc"
 	"repro/internal/sim"
 	"repro/internal/sparse"
 	"repro/internal/spmv"
-	"repro/internal/stats"
 )
-
-// runExperiment executes a registry experiment once and returns its tables.
-func runExperiment(b *testing.B, id string) []*stats.Table {
-	b.Helper()
-	e, ok := experiments.ByID(id)
-	if !ok {
-		b.Fatalf("experiment %q not registered", id)
-	}
-	tables, err := e.Run(experiments.QuickConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	return tables
-}
-
-// tableCell parses the numeric cell (row, col) of a table's CSV rendering.
-func tableCell(b *testing.B, t *stats.Table, row, col int) float64 {
-	b.Helper()
-	lines := strings.Split(strings.TrimSpace(t.CSV()), "\n")
-	fields := strings.Split(lines[row+1], ",")
-	v, err := strconv.ParseFloat(fields[col], 64)
-	if err != nil {
-		b.Fatalf("cell (%d,%d): %v", row, col, err)
-	}
-	return v
-}
-
-// --- One benchmark per paper artefact ---
-
-func BenchmarkTable1(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tables := runExperiment(b, "table1")
-		b.ReportMetric(float64(tables[0].Rows()), "matrices")
-	}
-}
-
-func BenchmarkFig1ChipOverview(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		runExperiment(b, "fig1")
-	}
-}
-
-func BenchmarkFig2CSRExample(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		runExperiment(b, "fig2")
-	}
-}
-
-func BenchmarkFig4Mappings(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		runExperiment(b, "fig4")
-	}
-}
-
-func BenchmarkFig3HopDistance(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t := runExperiment(b, "fig3")[0]
-		b.ReportMetric(tableCell(b, t, 0, 2), "MFLOPS_0hop")
-		b.ReportMetric(100*(1-tableCell(b, t, 3, 3)), "degradation_3hop_%")
-	}
-}
-
-func BenchmarkFig5Mapping(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t := runExperiment(b, "fig5")[0]
-		best := 0.0
-		for r := 0; r < t.Rows(); r++ {
-			if sp := tableCell(b, t, r, 3); sp > best {
-				best = sp
-			}
-		}
-		b.ReportMetric(best, "best_mapping_speedup")
-	}
-}
-
-func BenchmarkFig6WorkingSet(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tables := runExperiment(b, "fig6")
-		t24 := tables[1] // 24 cores
-		maxM, minM := 0.0, 1e18
-		for r := 0; r < t24.Rows(); r++ {
-			m := tableCell(b, t24, r, 5)
-			if m > maxM {
-				maxM = m
-			}
-			if m < minM {
-				minM = m
-			}
-		}
-		b.ReportMetric(maxM, "max_MFLOPS_24c")
-		b.ReportMetric(minM, "min_MFLOPS_24c")
-	}
-}
-
-func BenchmarkFig7L2Disabled(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t := runExperiment(b, "fig7")[0]
-		last := t.Rows() - 1
-		b.ReportMetric(100*(1-tableCell(b, t, last, 3)), "degradation_48c_%")
-	}
-}
-
-func BenchmarkFig8IrregularAccess(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t := runExperiment(b, "fig8")[1] // 24 cores
-		best := 0.0
-		for r := 0; r < t.Rows(); r++ {
-			if sp := tableCell(b, t, r, 4); sp > best {
-				best = sp
-			}
-		}
-		b.ReportMetric(best, "max_noX_speedup")
-	}
-}
-
-func BenchmarkFig9Configurations(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tables := runExperiment(b, "fig9")
-		perf := tables[0]
-		last := perf.Rows() - 1
-		b.ReportMetric(tableCell(b, perf, last, 4), "conf1_speedup")
-		power := tables[1]
-		b.ReportMetric(tableCell(b, power, 1, 3), "conf1_watts")
-	}
-}
-
-func BenchmarkFig10Architectures(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t := runExperiment(b, "fig10")[0]
-		// M2050 is row 4; SCC conf0 row 5.
-		b.ReportMetric(tableCell(b, t, 4, 2), "M2050_GFLOPS")
-		b.ReportMetric(tableCell(b, t, 4, 4), "M2050_MFLOPS_per_W")
-	}
-}
-
-func BenchmarkLatencyTable(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t := runExperiment(b, "latency")[0]
-		b.ReportMetric(tableCell(b, t, 0, 1), "lat0_conf0_ns")
-	}
-}
-
-func BenchmarkAblationFormats(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		runExperiment(b, "ablation-formats")
-	}
-}
-
-func BenchmarkAblationReorder(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		runExperiment(b, "ablation-reorder")
-	}
-}
-
-func BenchmarkAblationPartition(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		runExperiment(b, "ablation-partition")
-	}
-}
-
-func BenchmarkAnalysisPowercap(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		runExperiment(b, "analysis-powercap")
-	}
-}
-
-func BenchmarkAnalysisScaling(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		runExperiment(b, "analysis-scaling")
-	}
-}
-
-func BenchmarkAnalysisDistributed(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		runExperiment(b, "analysis-distributed")
-	}
-}
-
-func BenchmarkAnalysisLocality(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		runExperiment(b, "analysis-locality")
-	}
-}
-
-func BenchmarkAblationCacheBlock(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		runExperiment(b, "ablation-cacheblock")
-	}
-}
-
-func BenchmarkAblationPrefetch(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		runExperiment(b, "ablation-prefetch")
-	}
-}
-
-func BenchmarkAblationWarmup(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		runExperiment(b, "ablation-warmup")
-	}
-}
-
-// --- Engine benchmarks: serial reference vs host-parallel ---
-
-// benchEngine times one full fig9 sweep per iteration and reports the
-// engine's headline throughput: simulated GFLOP/s (2*nnz of useful kernel
-// work per simulated Result) and matrices/s. parallelism 1 is the serial
-// reference engine with memoisation disabled - the seed behaviour.
-func benchEngine(b *testing.B, parallelism int) {
-	b.Helper()
-	e, ok := experiments.ByID("fig9")
-	if !ok {
-		b.Fatal("fig9 not registered")
-	}
-	cfg := experiments.QuickConfig()
-	cfg.Parallelism = parallelism
-	if parallelism == 1 {
-		cfg.Sequential = true
-		cfg.MatrixCache = sparse.NewMatrixCache(0)
-	} else {
-		cfg.MatrixCache = sparse.NewMatrixCache(experiments.DefaultMatrixCacheBytes)
-	}
-	flops0 := sim.SimulatedFLOPs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := e.Run(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-	sec := b.Elapsed().Seconds()
-	if sec > 0 {
-		gflop := float64(sim.SimulatedFLOPs()-flops0) / 1e9
-		b.ReportMetric(gflop/sec, "sim_GFLOP/s")
-		b.ReportMetric(float64(cfg.MatrixCount()*b.N)/sec, "matrices/s")
-	}
-}
-
-func BenchmarkEngineFig9Serial(b *testing.B)   { benchEngine(b, 1) }
-func BenchmarkEngineFig9Parallel(b *testing.B) { benchEngine(b, 0) }
-
-// --- Micro-benchmarks of the substrates ---
 
 var benchMatrix = sparse.Generate(sparse.Gen{
 	Name: "bench", Class: sparse.PatternStencil3D, N: 50000, NNZTarget: 1000000, Seed: 1,
@@ -323,14 +76,6 @@ func BenchmarkSimulator48Cores(b *testing.B) {
 	}
 }
 
-func BenchmarkCacheHierarchyAccess(b *testing.B) {
-	h := cache.NewSCCHierarchy(true)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h.Access(uint64(i*64)%(1<<22), i%7 == 0)
-	}
-}
-
 func BenchmarkCGSolve(b *testing.B) {
 	a := sparse.Laplacian2D(64)
 	rhs := make([]float64, a.Rows)
@@ -350,13 +95,5 @@ func BenchmarkRCMReordering(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sparse.RCM(a)
-	}
-}
-
-func BenchmarkTestbedGeneration(b *testing.B) {
-	e, _ := sparse.TestbedEntryByName("sme3Dc")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.GenerateScaled(0.1)
 	}
 }

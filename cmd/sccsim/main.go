@@ -6,9 +6,7 @@
 //	sccsim -list
 //	sccsim -exp fig5 [-scale 0.25] [-stride 1] [-max 0] [-csv]
 //	sccsim -exp all  [-scale 0.25]
-//	sccsim -exp bench [-benchexp fig6,fig8,ablation-l2geom] [-json]
 //	sccsim -exp rcce-scaling [-engine goroutine|des] [-mesh 32x32x1]
-//	sccsim -exp bench-des [-mesh 16x16x2] [-json]
 //
 // -scale 1.0 reproduces the paper's matrix sizes (slow: the full testbed
 // holds ~95M nonzeros); the default quarter scale preserves every
@@ -18,18 +16,15 @@
 // serial reference path with bit-identical output. -pricing selects the
 // cache-pricing backend (exact per-access walks, the reuse-distance
 // analytic fast path, or auto, which goes analytic only where provably
-// bit-identical; see internal/sim/pricing.go). -exp bench times the
-// serial, parallel-exact and analytic engines on each listed experiment
-// and writes a machine-readable BENCH_<exp>.json perf record per id.
-// -cpuprofile/-memprofile capture pprof profiles of whatever the
-// invocation runs.
+// bit-identical; see internal/sim/pricing.go). Each experiment's header
+// line reports its wall time; repeated, noise-banded timing lives in the
+// perfbench module (perfbench/run.sh). -cpuprofile/-memprofile capture
+// pprof profiles of whatever the invocation runs.
 //
 // Executable-runtime experiments (rcce-scaling) run the real RCCE
 // message-passing program: -engine selects the goroutine backend or the
 // single-threaded virtual-time DES scheduler (bit-identical tables either
 // way), and -mesh lifts the 48-core cap to arbitrary XxYxC geometries.
-// -exp bench-des times the sweep on both engines under injected message
-// latency and writes BENCH_des.json (the virtual-time speedup record).
 //
 // Robustness: SIGINT/SIGTERM and the -deadline flag cancel the run's
 // context, which stops the engine at its next matrix/cell/pass boundary;
@@ -51,7 +46,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -82,22 +76,19 @@ func main() {
 func run() int {
 	var (
 		list       = flag.Bool("list", false, "list available experiments and exit")
-		expID      = flag.String("exp", "", "experiment id to run, \"all\", or \"bench\"")
+		expID      = flag.String("exp", "", "experiment id to run, or \"all\"")
 		scale      = flag.Float64("scale", 0.25, "testbed scale factor in (0, 1]; 1.0 = paper sizes")
 		stride     = flag.Int("stride", 1, "keep every stride-th testbed matrix")
 		max        = flag.Int("max", 0, "use only the first N selected matrices (0 = all)")
 		csv        = flag.Bool("csv", false, "emit CSV instead of aligned tables")
 		outDir     = flag.String("outdir", "", "also write each experiment's tables to <outdir>/<id>.txt and .csv")
 		parallel   = flag.Int("parallel", 0, "host worker pool size: 0 = GOMAXPROCS, 1 = serial reference engine")
-		sequential = flag.Bool("sequential", false, "seed-equivalent engine: no pools, no shared sweep walks (determinism oracle)")
 		cacheMB    = flag.Int64("cachemb", experiments.DefaultMatrixCacheBytes>>20, "generated-matrix cache budget in MiB (0 disables memoisation)")
 		deadline   = flag.Duration("deadline", 0, "cancel the whole run after this duration (0 = none)")
 		failFast   = flag.Bool("failfast", false, "abort a sweep at the first failing cell instead of isolating it into an error row")
 		pricing    = flag.String("pricing", "auto", "cache-pricing backend: exact (per-access walk), analytic (reuse-distance fast path), auto (analytic only where provably identical)")
 		engine     = flag.String("engine", "goroutine", "RCCE backend for executable-runtime experiments: goroutine (the semantic oracle) or des (single-threaded virtual-time scheduler); tables are bit-identical either way")
 		mesh       = flag.String("mesh", "", "chip geometry for executable-runtime experiments as XxYxC tiles (e.g. 32x32x1 = 1024 cores); empty = the real 6x4x2 SCC")
-		benchExp   = flag.String("benchexp", "fig9", "comma-separated experiment ids the bench harness times (with -exp bench), e.g. fig6,fig8,ablation-l2geom")
-		jsonOut    = flag.Bool("json", false, "with -exp bench: also print the perf record as JSON on stdout")
 		cpuProfile = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 		memProfile = flag.String("memprofile", "", "write a pprof heap profile to this file on exit")
 		metricsOut = flag.String("metrics", "", "write a JSON snapshot of the engine metrics (internal/obs) to this file on exit")
@@ -117,7 +108,7 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "sccsim: -exp or -list required (try -list)")
 		return 2
 	}
-	if err := validateFlags(*scale, *stride, *max, *parallel, *cacheMB); err != nil {
+	if err := validateFlags(*scale, *stride, *max, *parallel, *cacheMB, *deadline); err != nil {
 		fmt.Fprintf(os.Stderr, "sccsim: %v\n", err)
 		return 2
 	}
@@ -230,7 +221,7 @@ func run() int {
 	}
 	geom, err := scc.ParseGeometry(*mesh)
 	if err != nil {
-		errf("%v", err)
+		errf("-mesh: %v", err)
 		return code
 	}
 	cache := sparse.NewMatrixCache(*cacheMB << 20)
@@ -242,33 +233,12 @@ func run() int {
 		Stride:      *stride,
 		MaxMatrices: *max,
 		Parallelism: *parallel,
-		Sequential:  *sequential,
 		MatrixCache: cache,
 		Ctx:         ctx,
 		FailFast:    *failFast,
 		Pricing:     pricingMode,
 		Engine:      backend,
 		Mesh:        geom,
-	}
-
-	if *expID == "bench-des" {
-		if err := runBenchDES(cfg, *outDir, *jsonOut); err != nil {
-			errf("bench-des: %v", err)
-		}
-		return code
-	}
-	if *expID == "bench" {
-		for _, id := range strings.Split(*benchExp, ",") {
-			id = strings.TrimSpace(id)
-			if id == "" {
-				continue
-			}
-			if err := runBench(cfg, id, *outDir, *jsonOut); err != nil {
-				errf("bench %s: %v", id, err)
-				return code
-			}
-		}
-		return code
 	}
 
 	var toRun []experiments.Experiment
@@ -316,7 +286,7 @@ func run() int {
 // message, instead of letting them surface as undefined behavior deep in
 // partitioning or matrix generation (a negative -parallel used to reach
 // the pool, -scale 0 the generator, -stride 0 the subset walk).
-func validateFlags(scale float64, stride, max, parallel int, cacheMB int64) error {
+func validateFlags(scale float64, stride, max, parallel int, cacheMB int64, deadline time.Duration) error {
 	if scale <= 0 || scale > 1 {
 		return fmt.Errorf("-scale %v outside (0, 1]: 1.0 is the paper's size, smaller shrinks the testbed", scale)
 	}
@@ -331,6 +301,9 @@ func validateFlags(scale float64, stride, max, parallel int, cacheMB int64) erro
 	}
 	if cacheMB < 0 {
 		return fmt.Errorf("-cachemb %d invalid: need >= 0 (0 disables memoisation)", cacheMB)
+	}
+	if deadline < 0 {
+		return fmt.Errorf("-deadline %v invalid: need >= 0 (0 = no deadline)", deadline)
 	}
 	return nil
 }
@@ -394,80 +367,6 @@ func writeTrace(path string, runSpan *obs.Span, rec *obs.Recorder) error {
 	if err := os.WriteFile(path, blob, 0o644); err != nil {
 		return fmt.Errorf("writing %s: %w", path, err)
 	}
-	return nil
-}
-
-// runBench times the serial vs parallel engine on one experiment and
-// persists the BENCH_<exp>.json perf record (in outDir when given, else
-// the working directory).
-func runBench(cfg experiments.Config, id, outDir string, jsonOut bool) error {
-	rec, err := experiments.Bench(cfg, id)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("== bench %s (scale %g, %d matrices, GOMAXPROCS %d)\n",
-		rec.Experiment, rec.Scale, rec.Matrices, rec.GoMaxProcs)
-	fmt.Printf("serial engine:   %8.2fs\n", rec.SerialSec)
-	fmt.Printf("parallel engine: %8.2fs  (speedup %.2fx)\n", rec.ParallelSec, rec.Speedup)
-	fmt.Printf("analytic pricing:%8.2fs  (speedup %.2fx vs parallel; %d cells analytic, %d exact; profiles %d built, %d reused; output identical: %t)\n",
-		rec.AnalyticSec, rec.AnalyticSpeedup, rec.CellsAnalytic, rec.CellsExact,
-		rec.ProfilesBuilt, rec.ProfilesReused, rec.OutputIdentical)
-	fmt.Printf("throughput: %.1f simulated MFLOP/s, %.2f matrices/s (cache: %d hits, %d misses, %d evictions)\n",
-		1e3*rec.SimulatedGFLOPS, rec.MatricesPerSec, rec.CacheHits, rec.CacheMisses, rec.CacheEvictions)
-
-	blob, err := json.MarshalIndent(rec, "", "  ")
-	if err != nil {
-		return err
-	}
-	blob = append(blob, '\n')
-	if jsonOut {
-		os.Stdout.Write(blob)
-	}
-	dir := outDir
-	if dir == "" {
-		dir = "."
-	} else if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	path := filepath.Join(dir, "BENCH_"+id+".json")
-	if err := os.WriteFile(path, blob, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("perf record written to %s\n", path)
-	return nil
-}
-
-// runBenchDES times the rcce-scaling sweep on the goroutine vs DES engine
-// under injected per-message latency and persists BENCH_des.json (in
-// outDir when given, else the working directory).
-func runBenchDES(cfg experiments.Config, outDir string, jsonOut bool) error {
-	rec, err := experiments.BenchDES(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("== bench-des %s (mesh %s, %v injected per gather message, GOMAXPROCS %d)\n",
-		rec.Experiment, rec.Mesh, time.Duration(rec.InjectedDelaySec*float64(time.Second)), rec.GoMaxProcs)
-	fmt.Printf("goroutine engine: %8.2fs  (pays the injected latency in wall clock)\n", rec.GoroutineSec)
-	fmt.Printf("DES engine:       %8.2fs  (speedup %.2fx: virtual time is free; output identical: %t)\n",
-		rec.DESSec, rec.Speedup, rec.OutputIdentical)
-	blob, err := rec.JSON()
-	if err != nil {
-		return err
-	}
-	if jsonOut {
-		os.Stdout.Write(blob)
-	}
-	dir := outDir
-	if dir == "" {
-		dir = "."
-	} else if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	path := filepath.Join(dir, "BENCH_des.json")
-	if err := os.WriteFile(path, blob, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("perf record written to %s\n", path)
 	return nil
 }
 

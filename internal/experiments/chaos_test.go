@@ -146,13 +146,13 @@ func TestChaosRobustnessLayerBitIdentical(t *testing.T) {
 }
 
 func TestValidateRejectsSequentialWithParallelism(t *testing.T) {
-	bad := Config{Scale: 0.25, Sequential: true, Parallelism: 4}
+	bad := Config{Scale: 0.25, sequential: true, Parallelism: 4}
 	if err := bad.validate(); err == nil {
-		t.Fatal("Sequential with Parallelism > 1 accepted")
+		t.Fatal("sequential with Parallelism > 1 accepted")
 	}
-	// Parallelism 1 is the serial pool the bench harness pins explicitly.
-	ok := Config{Scale: 0.25, Sequential: true, Parallelism: 1}
+	// Parallelism 1 is the serial pool itself, so it composes.
+	ok := Config{Scale: 0.25, sequential: true, Parallelism: 1}
 	if err := ok.validate(); err != nil {
-		t.Fatalf("Sequential with Parallelism 1 rejected: %v", err)
+		t.Fatalf("sequential with Parallelism 1 rejected: %v", err)
 	}
 }

@@ -58,7 +58,7 @@ type Config struct {
 	// the working-set ordering.
 	Scale float64
 	// MaxMatrices truncates the testbed to its first N entries
-	// (0 = all 32). Used by quick runs and the benchmark harness.
+	// (0 = all 32). Used by quick runs and the benchmarks.
 	MaxMatrices int
 	// Stride keeps only every Stride-th testbed entry (0 or 1 = all),
 	// composing with MaxMatrices. It preserves the ws spread while
@@ -69,13 +69,13 @@ type Config struct {
 	// simulation's per-UE pool: 0 uses GOMAXPROCS, 1 forces the fully
 	// serial reference path. Results are identical at every setting.
 	Parallelism int
-	// Sequential forces the seed-equivalent reference engine: no worker
+	// sequential forces the seed-equivalent reference engine: no worker
 	// pools, no shared sweep walks (each machine of a sweep cell is
 	// priced by its own full cache walk). Combined with a zero-budget
 	// MatrixCache it reproduces exactly what the pre-parallel engine
-	// computed per run - the determinism oracle and the baseline the
-	// bench harness times. Output is bit-identical either way.
-	Sequential bool
+	// computed per run - the determinism oracle the in-package tests
+	// set directly. Output is bit-identical either way.
+	sequential bool
 	// MatrixCache overrides the shared generated-matrix cache. nil uses
 	// a package-wide cache with DefaultMatrixCacheBytes of budget; a
 	// zero-budget cache disables memoisation.
@@ -104,9 +104,9 @@ type Config struct {
 	// cell that does not pin its own: exact per-access walks, the
 	// reuse-distance analytic fast path, or (the default) automatic
 	// selection that only goes analytic when provably bit-identical to
-	// the exact walk (see internal/sim/pricing.go). Sequential runs
+	// the exact walk (see internal/sim/pricing.go). sequential runs
 	// always price exact - they are the seed-equivalent reference - so
-	// Sequential with PricingAnalytic is rejected.
+	// sequential with PricingAnalytic is rejected.
 	Pricing sim.Pricing
 	// Errors collects isolated per-unit failures. nil (the default for a
 	// direct Run call) keeps the historical abort-on-first-error
@@ -146,12 +146,6 @@ var sharedMatrixCache = sparse.NewMatrixCache(DefaultMatrixCacheBytes)
 // testbed).
 func DefaultConfig() Config { return Config{Scale: 0.25} }
 
-// QuickConfig returns a configuration small enough for unit tests and
-// benchmarks: 10% scale, every fourth matrix. The scale is the smallest at
-// which the suite still straddles the aggregate L2 capacity (so working-set
-// and contention effects survive shrinking).
-func QuickConfig() Config { return Config{Scale: 0.10, Stride: 4} }
-
 func (c Config) validate() error {
 	if c.Scale <= 0 || c.Scale > 1 {
 		return fmt.Errorf("experiments: scale %v outside (0, 1]", c.Scale)
@@ -162,15 +156,15 @@ func (c Config) validate() error {
 	if c.Parallelism < 0 {
 		return fmt.Errorf("experiments: negative parallelism")
 	}
-	if c.Sequential && c.Parallelism > 1 {
-		// Sequential forces the serial reference engine, so a wider pool
+	if c.sequential && c.Parallelism > 1 {
+		// sequential forces the serial reference engine, so a wider pool
 		// request cannot be honoured; rejecting the combination beats
 		// silently ignoring it. Parallelism 1 is allowed - it *is* the
-		// serial pool - because the bench harness pins both explicitly.
-		return fmt.Errorf("experiments: Sequential with Parallelism %d: the sequential engine always runs serially; drop one of the two", c.Parallelism)
+		// serial pool.
+		return fmt.Errorf("experiments: sequential with Parallelism %d: the sequential engine always runs serially; drop one of the two", c.Parallelism)
 	}
-	if c.Sequential && c.Pricing == sim.PricingAnalytic {
-		return fmt.Errorf("experiments: Sequential with analytic pricing: the sequential engine is the exact reference; drop one of the two")
+	if c.sequential && c.Pricing == sim.PricingAnalytic {
+		return fmt.Errorf("experiments: sequential with analytic pricing: the sequential engine is the exact reference; drop one of the two")
 	}
 	if err := c.Mesh.OrDefault().Validate(); err != nil {
 		return fmt.Errorf("experiments: %w", err)
@@ -195,10 +189,6 @@ func (c Config) entries() []sparse.TestbedEntry {
 	return out
 }
 
-// MatrixCount returns the number of testbed matrices the configuration
-// selects (benchmark observability).
-func (c Config) MatrixCount() int { return len(c.entries()) }
-
 // matrixCache resolves the cache the configuration uses.
 func (c Config) matrixCache() *sparse.MatrixCache {
 	if c.MatrixCache != nil {
@@ -209,7 +199,7 @@ func (c Config) matrixCache() *sparse.MatrixCache {
 
 // workers resolves the Parallelism knob to a pool size.
 func (c Config) workers() int {
-	if c.Sequential {
+	if c.sequential {
 		return 1
 	}
 	if c.Parallelism > 0 {
@@ -221,7 +211,7 @@ func (c Config) workers() int {
 // simOptions threads the engine parallelism and pricing backend into a
 // cell's sim options unless the cell pinned its own.
 func (c Config) simOptions(o sim.Options) sim.Options {
-	if c.Sequential {
+	if c.sequential {
 		// Seed-equivalent reference: serial, exact, no profile store.
 		o.Parallelism = 1
 		o.Pricing = sim.PricingExact
@@ -340,7 +330,7 @@ func (c Config) cellOptions(ctx context.Context, o sim.Options) (sim.Options, *o
 // cell index; under FailFast the first failure cancels in-flight siblings.
 func (c Config) runGrid(a *sparse.CSR, cells []sweepCell) ([][]*sim.Result, error) {
 	ctx := c.context()
-	if c.Sequential {
+	if c.sequential {
 		// Seed-equivalent reference: every machine of every cell priced
 		// by its own full cache walk, in order. The sweep path is proven
 		// bit-identical to this (sim's determinism tests), so only the

@@ -8,6 +8,12 @@ import (
 	"repro/internal/stats"
 )
 
+// quickConfig returns a configuration small enough for unit tests: 10%
+// scale, every fourth matrix. The scale is the smallest at which the suite
+// still straddles the aggregate L2 capacity (so working-set and contention
+// effects survive shrinking).
+func quickConfig() Config { return Config{Scale: 0.10, Stride: 4} }
+
 // runQuick executes an experiment at test scale and returns its tables.
 func runQuick(t *testing.T, id string) []*stats.Table {
 	t.Helper()
@@ -15,7 +21,7 @@ func runQuick(t *testing.T, id string) []*stats.Table {
 	if !ok {
 		t.Fatalf("experiment %q not registered", id)
 	}
-	tables, err := e.Run(QuickConfig())
+	tables, err := e.Run(quickConfig())
 	if err != nil {
 		t.Fatalf("%s: %v", id, err)
 	}
@@ -77,7 +83,7 @@ func TestConfigValidation(t *testing.T) {
 	if err := DefaultConfig().validate(); err != nil {
 		t.Fatal(err)
 	}
-	if err := QuickConfig().validate(); err != nil {
+	if err := quickConfig().validate(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -99,7 +105,7 @@ func TestConfigSubsetting(t *testing.T) {
 
 func TestTable1(t *testing.T) {
 	tb := runQuick(t, "table1")[0]
-	if tb.Rows() != len(QuickConfig().entries()) {
+	if tb.Rows() != len(quickConfig().entries()) {
 		t.Fatalf("table1 has %d rows", tb.Rows())
 	}
 	// First entry is TSOPF: paper-scale nnz column (index 3) matches.

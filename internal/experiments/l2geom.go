@@ -30,7 +30,7 @@ var (
 // matrix: this experiment is the analytic fast path's showcase - under
 // PricingAuto (or forced analytic) the first cell of each matrix traces the
 // stream once and the other cells price their geometry in O(ways), while
-// PricingExact re-walks every cell (the bench harness measures the ratio).
+// PricingExact re-walks every cell.
 func runAblationL2Geom(cfg Config) ([]*stats.Table, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err

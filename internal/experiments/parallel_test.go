@@ -44,7 +44,7 @@ func TestExperimentsBitIdenticalUnderParallelism(t *testing.T) {
 		t.Run(id, func(t *testing.T) {
 			t.Parallel()
 			sequential := testConfig()
-			sequential.Sequential = true
+			sequential.sequential = true
 			sequential.MatrixCache = sparse.NewMatrixCache(0)
 
 			serial := testConfig()
@@ -177,58 +177,5 @@ func TestEngineMetricsRecorded(t *testing.T) {
 	priced := after.Counters["sim.sweep.machine_runs"] - before.Counters["sim.sweep.machine_runs"]
 	if priced != 3*runs {
 		t.Errorf("sweep-share factor off: %d machine runs over %d sweeps, want 3x", priced, runs)
-	}
-}
-
-// TestBenchRecordsSpeedupFields exercises the bench harness end to end on a
-// tiny subset and sanity-checks the perf record's bookkeeping.
-func TestBenchRecordsSpeedupFields(t *testing.T) {
-	cfg := Config{Scale: 0.05, Stride: 9}
-	rec, err := Bench(cfg, "fig5")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.Experiment != "fig5" {
-		t.Errorf("experiment = %q, want fig5", rec.Experiment)
-	}
-	if rec.SerialSec <= 0 || rec.ParallelSec <= 0 || rec.Speedup <= 0 {
-		t.Errorf("non-positive timings: serial %v parallel %v speedup %v",
-			rec.SerialSec, rec.ParallelSec, rec.Speedup)
-	}
-	if rec.Matrices != cfg.MatrixCount() {
-		t.Errorf("matrices = %d, want %d", rec.Matrices, cfg.MatrixCount())
-	}
-	if rec.SimulatedGFLOP <= 0 || rec.SimulatedGFLOPS <= 0 {
-		t.Errorf("simulated work not recorded: %v GFLOP, %v GFLOP/s",
-			rec.SimulatedGFLOP, rec.SimulatedGFLOPS)
-	}
-	if rec.MatrixVisits == 0 || rec.CacheMisses == 0 {
-		t.Errorf("matrix-cache accounting empty: visits %d misses %d",
-			rec.MatrixVisits, rec.CacheMisses)
-	}
-	if rec.CacheMisses > uint64(rec.Matrices) {
-		t.Errorf("parallel leg regenerated matrices: %d misses for %d matrices",
-			rec.CacheMisses, rec.Matrices)
-	}
-	if rec.GoMaxProcs < 1 {
-		t.Errorf("gomaxprocs = %d", rec.GoMaxProcs)
-	}
-}
-
-func TestBenchUnknownExperiment(t *testing.T) {
-	if _, err := Bench(Config{Scale: 0.05}, "no-such-exp"); err == nil {
-		t.Fatal("expected error for unknown experiment id")
-	}
-}
-
-// TestBenchRefusesZeroWork: fig1 draws the chip layout and simulates
-// nothing, so a bench record of it would time no engine work.
-func TestBenchRefusesZeroWork(t *testing.T) {
-	_, err := Bench(Config{Scale: 0.05, Stride: 9}, "fig1")
-	if err == nil {
-		t.Fatal("bench of a zero-FLOP experiment returned a record")
-	}
-	if !strings.Contains(err.Error(), "fig1") || !strings.Contains(err.Error(), "no FLOPs") {
-		t.Errorf("error %q does not name the experiment and the missing work", err)
 	}
 }

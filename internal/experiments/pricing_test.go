@@ -38,7 +38,7 @@ func TestL2GeomAnalyticMatchesExact(t *testing.T) {
 	if got != want {
 		t.Errorf("analytic pricing changed the rendered ablation:\n--- exact ---\n%s\n--- auto ---\n%s", want, got)
 	}
-	matrices := autoCfg.MatrixCount()
+	matrices := len(autoCfg.entries())
 	if built := builtA - builtB; built != uint64(matrices) {
 		t.Errorf("profiles built = %d, want one per matrix (%d)", built, matrices)
 	}
@@ -98,7 +98,7 @@ func TestDisabledMemoisationStaysExact(t *testing.T) {
 	if cells := analyticA - analyticB; cells != 0 {
 		t.Errorf("cells analytic = %d, want 0 under a non-retaining store", cells)
 	}
-	wantCells := uint64(15 * off.MatrixCount())
+	wantCells := uint64(15 * len(off.entries()))
 	if cells := exactA - exactB; cells != wantCells {
 		t.Errorf("cells exact = %d, want the whole grid (%d)", cells, wantCells)
 	}
@@ -124,16 +124,16 @@ func TestChaosAnalyticPreCancelledContextAborts(t *testing.T) {
 }
 
 // TestValidateRejectsSequentialAnalytic pins the reference-engine contract:
-// Sequential is the exact seed-equivalent path, so forcing analytic pricing
+// sequential is the exact seed-equivalent path, so forcing analytic pricing
 // on it is a contradiction the config rejects.
 func TestValidateRejectsSequentialAnalytic(t *testing.T) {
-	bad := Config{Scale: 0.25, Sequential: true, Pricing: sim.PricingAnalytic}
+	bad := Config{Scale: 0.25, sequential: true, Pricing: sim.PricingAnalytic}
 	if err := bad.validate(); err == nil {
-		t.Fatal("Sequential with analytic pricing accepted")
+		t.Fatal("sequential with analytic pricing accepted")
 	}
-	ok := Config{Scale: 0.25, Sequential: true, Pricing: sim.PricingExact}
+	ok := Config{Scale: 0.25, sequential: true, Pricing: sim.PricingExact}
 	if err := ok.validate(); err != nil {
-		t.Fatalf("Sequential with exact pricing rejected: %v", err)
+		t.Fatalf("sequential with exact pricing rejected: %v", err)
 	}
 }
 

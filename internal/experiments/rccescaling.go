@@ -1,13 +1,9 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
-	"runtime"
 	"time"
 
-	"repro/internal/fault"
-	"repro/internal/rcce"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -67,103 +63,3 @@ func runRCCEScaling(cfg Config) ([]*stats.Table, error) {
 // enough that a loaded CI host never trips it, tight enough that a
 // genuinely wedged program fails the experiment instead of hanging it.
 const rcceSweepDeadline = 5 * time.Minute
-
-// BenchDESRecord is the machine-readable perf record `sccsim -exp
-// bench-des` emits (BENCH_des.json): the same rcce-scaling sweep timed on
-// both engines, with per-message latency injected so the virtual-time
-// advantage is visible - the goroutine backend pays the injected delays
-// in wall clock, the DES scheduler jumps its virtual clock past them.
-type BenchDESRecord struct {
-	// Experiment names the swept experiment and Mesh the geometry.
-	Experiment string `json:"experiment"`
-	Mesh       string `json:"mesh"`
-	// Scale/MaxMatrices/Stride describe the testbed subset (the sweep
-	// uses its first matrix).
-	Scale       float64 `json:"scale"`
-	Stride      int     `json:"stride,omitempty"`
-	MaxMatrices int     `json:"max_matrices,omitempty"`
-	GoMaxProcs  int     `json:"gomaxprocs"`
-	// UEs is the swept ladder and InjectedDelaySec the per-message
-	// latency injected into every partial-gather message.
-	UEs              []int   `json:"ues"`
-	InjectedDelaySec float64 `json:"injected_delay_sec"`
-	// GoroutineSec/DESSec are the wall clocks of the two legs; Speedup
-	// is their ratio (the virtual-time win). OutputIdentical records
-	// whether the legs rendered byte-identical tables (they must).
-	GoroutineSec    float64 `json:"goroutine_sec"`
-	DESSec          float64 `json:"des_sec"`
-	Speedup         float64 `json:"speedup"`
-	OutputIdentical bool    `json:"output_identical"`
-	UnixTime        int64   `json:"unix_time"`
-}
-
-// benchDelay is the latency BenchDES injects into each rank's partial
-// send to rank 0: long enough to dominate the goroutine leg's wall clock,
-// short enough that the bench stays under a minute.
-const benchDelay = 250 * time.Millisecond
-
-// BenchDES times the rcce-scaling sweep on the goroutine and DES engines
-// under injected per-message latency and returns the perf record. Both
-// legs must render bit-identical tables; only the clocks differ.
-func BenchDES(cfg Config) (*BenchDESRecord, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	geom := cfg.Mesh.OrDefault()
-	counts := sim.DefaultRCCECounts(geom)
-	// Delay every rank's first message to rank 0 - the partial-result
-	// gather spmv.RCCEWith performs at each count.
-	plan := &fault.Plan{}
-	for r := 1; r < geom.NumCores(); r++ {
-		plan.Slow = append(plan.Slow, fault.Delay{
-			Message: fault.Message{Src: r, Dst: 0, Seq: 0},
-			By:      benchDelay,
-		})
-	}
-	leg := func(b rcce.Backend) (float64, string, error) {
-		c := cfg
-		c.Engine = b
-		c.Fault = plan
-		start := time.Now() //sccvet:allow nondeterminism BenchDES measures host wall time by design; the swept tables stay deterministic
-		out, err := ExecuteByID("rcce-scaling", c)
-		if err != nil {
-			return 0, "", err
-		}
-		return time.Since(start).Seconds(), out.Text, nil //sccvet:allow nondeterminism BenchDES measures host wall time by design; the swept tables stay deterministic
-	}
-	gSec, gOut, err := leg(rcce.BackendGoroutine)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: bench-des goroutine leg: %w", err)
-	}
-	dSec, dOut, err := leg(rcce.BackendDES)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: bench-des DES leg: %w", err)
-	}
-	rec := &BenchDESRecord{
-		Experiment:       "rcce-scaling",
-		Mesh:             geom.String(),
-		Scale:            cfg.Scale,
-		Stride:           cfg.Stride,
-		MaxMatrices:      cfg.MaxMatrices,
-		GoMaxProcs:       runtime.GOMAXPROCS(0),
-		UEs:              counts,
-		InjectedDelaySec: benchDelay.Seconds(),
-		GoroutineSec:     gSec,
-		DESSec:           dSec,
-		OutputIdentical:  gOut == dOut,
-		UnixTime:         time.Now().Unix(), //sccvet:allow nondeterminism record timestamp metadata, not a simulated quantity
-	}
-	if dSec > 0 {
-		rec.Speedup = gSec / dSec
-	}
-	return rec, nil
-}
-
-// JSON renders the record for BENCH_des.json.
-func (r *BenchDESRecord) JSON() ([]byte, error) {
-	blob, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(blob, '\n'), nil
-}

@@ -10,7 +10,7 @@ import (
 
 // rcceQuick keeps the executable sweep to one small matrix.
 func rcceQuick() Config {
-	c := QuickConfig()
+	c := quickConfig()
 	c.MaxMatrices = 1
 	return c
 }

@@ -233,7 +233,7 @@ type SampleStats struct {
 }
 
 // SnapshotData is the schema-stable JSON form of a registry (the
-// -metrics out.json payload, versioned like BENCH_*.json).
+// -metrics out.json payload, versioned by its Schema field).
 type SnapshotData struct {
 	Schema      string                 `json:"schema"`
 	UnixTime    int64                  `json:"unix_time"`

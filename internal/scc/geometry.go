@@ -51,7 +51,9 @@ const maxGeometryCores = 1 << 16
 
 // Validate checks that the mesh is well formed: at least 2x2 tiles (the
 // four quadrant memory controllers need distinct corners), at least one
-// core per tile, and a bounded total core count.
+// core per tile, and a bounded total core count. Each dimension is
+// bounded before the product is formed, so a huge mesh cannot wrap
+// NumCores into range.
 func (g Geometry) Validate() error {
 	if g.TilesX < 2 || g.TilesY < 2 {
 		return fmt.Errorf("scc: geometry %s needs at least a 2x2 tile mesh", g)
@@ -59,7 +61,10 @@ func (g Geometry) Validate() error {
 	if g.CoresPerTile < 1 {
 		return fmt.Errorf("scc: geometry %s needs at least one core per tile", g)
 	}
-	if n := g.NumCores(); n > maxGeometryCores {
+	if g.TilesX > maxGeometryCores || g.TilesY > maxGeometryCores || g.CoresPerTile > maxGeometryCores {
+		return fmt.Errorf("scc: geometry %s has a dimension above the %d-core limit", g, maxGeometryCores)
+	}
+	if n := int64(g.TilesX) * int64(g.TilesY) * int64(g.CoresPerTile); n > maxGeometryCores {
 		return fmt.Errorf("scc: geometry %s has %d cores, above the %d limit", g, n, maxGeometryCores)
 	}
 	return nil

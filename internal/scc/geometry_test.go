@@ -118,6 +118,9 @@ func TestParseGeometry(t *testing.T) {
 		{"1x4x2", Geometry{}, false},     // needs >= 2x2 tiles
 		{"6x4x0", Geometry{}, false},     // needs >= 1 core per tile
 		{"300x300x2", Geometry{}, false}, // above the core-count bound
+		// Products that overflow int: one wraps to 0 cores, one negative.
+		{"4294967296x4294967296x1", Geometry{}, false},
+		{"3037000500x3037000500x3", Geometry{}, false},
 	}
 	for _, c := range cases {
 		got, err := ParseGeometry(c.in)
@@ -131,4 +134,36 @@ func TestParseGeometry(t *testing.T) {
 	if got := (Geometry{16, 16, 2}).String(); got != "16x16x2" {
 		t.Fatalf("String() = %q", got)
 	}
+}
+
+// FuzzParseGeometry: whatever ParseGeometry accepts is a bounded,
+// non-empty mesh that round-trips through String. The empty string is
+// the one accepted input that yields the zero Geometry ("the real chip").
+func FuzzParseGeometry(f *testing.F) {
+	for _, s := range []string{
+		"", "6x4x2", "16x16x2", "+6x4x2",
+		"4294967296x4294967296x1", "3037000500x3037000500x3",
+		"6x4", "6x4x2x1", "x4x2", "6xx2", "-6x4x2", "6X4X2", " 6x4x2", "6x4x2 ", "0x0x0",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		g, err := ParseGeometry(s)
+		if err != nil {
+			return // rejection is fine; panics are not
+		}
+		if s == "" {
+			if !g.IsZero() {
+				t.Fatalf("ParseGeometry(\"\") = %v, want the zero Geometry", g)
+			}
+			return
+		}
+		if n := g.NumCores(); n < 1 || n > maxGeometryCores {
+			t.Fatalf("ParseGeometry(%q) = %v with %d cores, outside [1, %d]", s, g, n, maxGeometryCores)
+		}
+		again, err := ParseGeometry(g.String())
+		if err != nil || again != g {
+			t.Fatalf("ParseGeometry(%q) = %v does not round-trip: ParseGeometry(%q) = %v, %v", s, g, g.String(), again, err)
+		}
+	})
 }

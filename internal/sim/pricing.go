@@ -100,7 +100,7 @@ var (
 
 // PricingCounters returns the cumulative pricing-path counters: profiles
 // built, profiles reused from the store, and sweep cells priced by the
-// analytic vs exact backend (bench harness observability).
+// analytic vs exact backend (read by the perfbench ledger and the tests).
 func PricingCounters() (built, reused, analytic, exact uint64) {
 	return profilesBuilt.Load(), profilesReused.Load(), cellsAnalytic.Load(), cellsExact.Load()
 }

@@ -3,8 +3,8 @@
 // geometry sweep pays once per cell), the one-time profile build (an
 // instrumented walk, a small constant factor over exact), and pricing a
 // cell from a resident profile (microseconds - the fast path's whole
-// point). The sweep-level speedup these imply is recorded end to end by
-// `make bench-smoke`.
+// point). The sweep-level cost is timed end to end by the perfbench
+// geom-analytic workload.
 package sim
 
 import (

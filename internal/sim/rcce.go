@@ -18,8 +18,7 @@ import (
 // Every value is deterministic and engine-independent - the goroutine and
 // DES backends must render bit-identical rows, which the cross-engine
 // determinism tests assert. Wall and virtual time are deliberately absent
-// from the rows (they differ between engines by design); the DES bench
-// harness records them separately.
+// from the rows (they differ between engines by design).
 
 // RCCESweepOptions configures an executable-RCCE scaling sweep.
 type RCCESweepOptions struct {
