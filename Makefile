@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build check test race chaos bench des-smoke fuzz-smoke metrics-smoke serve-smoke trace-smoke sccvet sccvet-json fmt-check ci clean
+.PHONY: all build check test race chaos bench des-smoke fuzz-smoke metrics-smoke serve-smoke trace-smoke examples-smoke sccvet sccvet-json fmt-check ci clean
 
 all: build
 
@@ -69,9 +69,10 @@ chaos:
 # smoke (which exercises the job API and result cache over real HTTP),
 # the telemetry smoke (Prometheus exposition, trace export and the flight
 # recorder's post-mortem path), the fuzz smoke (a short fixed run of
-# every fuzz target past its seed corpus), and last the benchmark
-# module's own tests.
-ci: check sccvet-json race chaos des-smoke serve-smoke trace-smoke fuzz-smoke
+# every fuzz target past its seed corpus), the examples smoke (every
+# example and the untested CLIs run to a clean exit), and last the
+# benchmark module's own tests.
+ci: check sccvet-json race chaos des-smoke serve-smoke trace-smoke fuzz-smoke examples-smoke
 	cd perfbench && $(GO) test ./...
 
 bench:
@@ -92,13 +93,15 @@ des-smoke:
 
 # fuzz-smoke runs each fuzz target for a short fixed -fuzztime beyond
 # its seed corpus (which plain go test already replays): the
-# MatrixMarket parser, the sccsimd job canonicaliser and the mesh
-# geometry parser. A crasher is written under the package's testdata/fuzz
-# and fails the target.
+# MatrixMarket parser, the sccsimd job canonicaliser, the mesh geometry
+# parser and the -pricing and -engine flag parsers. A crasher is written
+# under the package's testdata/fuzz and fails the target.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadMatrixMarket$$' -fuzztime 10s ./internal/sparse
 	$(GO) test -run '^$$' -fuzz '^FuzzJobConfigCanonical$$' -fuzztime 10s ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzParseGeometry$$' -fuzztime 10s ./internal/scc
+	$(GO) test -run '^$$' -fuzz '^FuzzParsePricing$$' -fuzztime 10s ./internal/sim
+	$(GO) test -run '^$$' -fuzz '^FuzzParseBackend$$' -fuzztime 10s ./internal/rcce
 
 # serve-smoke proves the sccsimd job daemon end to end: an in-process
 # daemon on a loopback port runs a tiny job twice over real HTTP and
@@ -123,6 +126,22 @@ metrics-smoke:
 # path).
 trace-smoke:
 	$(GO) run ./cmd/sccsimd -telemetrycheck
+
+# examples-smoke runs every program that has no test of its own to a
+# clean exit: the six examples at their defaults, plus spmvrun and
+# scctune on a small testbed and matgen's Table I listing. Outside their
+# unit tests, spmv.CG, spmv.RCCE, spmv.DistRCCE and sparse.Laplacian2D
+# are called only by the examples, so a broken example fails here rather
+# than going unnoticed.
+examples-smoke:
+	@for ex in cgsolver distributed locality mapping powersweep quickstart; do \
+		echo "examples-smoke: examples/$$ex"; \
+		$(GO) run ./examples/$$ex > /dev/null || exit 1; \
+	done
+	$(GO) run ./cmd/spmvrun -scale 0.05 > /dev/null
+	$(GO) run ./cmd/scctune -scale 0.05 > /dev/null
+	$(GO) run ./cmd/matgen -list > /dev/null
+	@echo "examples-smoke: every example and CLI exited 0"
 
 clean:
 	$(GO) clean ./...

@@ -287,7 +287,7 @@ func run() int {
 // partitioning or matrix generation (a negative -parallel used to reach
 // the pool, -scale 0 the generator, -stride 0 the subset walk).
 func validateFlags(scale float64, stride, max, parallel int, cacheMB int64, deadline time.Duration) error {
-	if scale <= 0 || scale > 1 {
+	if !(scale > 0 && scale <= 1) {
 		return fmt.Errorf("-scale %v outside (0, 1]: 1.0 is the paper's size, smaller shrinks the testbed", scale)
 	}
 	if stride < 1 {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -38,6 +39,7 @@ func TestValidateFlags(t *testing.T) {
 	bad("-scale", 0, 1, 0, 0, 1024, 0)
 	bad("-scale", -0.5, 1, 0, 0, 1024, 0)
 	bad("-scale", 1.5, 1, 0, 0, 1024, 0)
+	bad("-scale", math.NaN(), 1, 0, 0, 1024, 0)
 	bad("-stride", 0.25, 0, 0, 0, 1024, 0)
 	bad("-stride", 0.25, -2, 0, 0, 1024, 0)
 	bad("-max", 0.25, 1, -1, 0, 1024, 0)

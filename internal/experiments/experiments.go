@@ -147,7 +147,7 @@ var sharedMatrixCache = sparse.NewMatrixCache(DefaultMatrixCacheBytes)
 func DefaultConfig() Config { return Config{Scale: 0.25} }
 
 func (c Config) validate() error {
-	if c.Scale <= 0 || c.Scale > 1 {
+	if !(c.Scale > 0 && c.Scale <= 1) {
 		return fmt.Errorf("experiments: scale %v outside (0, 1]", c.Scale)
 	}
 	if c.MaxMatrices < 0 || c.Stride < 0 {

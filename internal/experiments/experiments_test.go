@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"strconv"
 	"strings"
 	"testing"
@@ -75,7 +76,7 @@ func TestRegistryComplete(t *testing.T) {
 }
 
 func TestConfigValidation(t *testing.T) {
-	for _, bad := range []Config{{Scale: 0}, {Scale: -1}, {Scale: 2}, {Scale: 0.5, MaxMatrices: -1}} {
+	for _, bad := range []Config{{Scale: 0}, {Scale: -1}, {Scale: 2}, {Scale: math.NaN()}, {Scale: 0.5, MaxMatrices: -1}} {
 		if err := bad.validate(); err == nil {
 			t.Errorf("config %+v accepted", bad)
 		}

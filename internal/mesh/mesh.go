@@ -1,8 +1,7 @@
 // Package mesh models the SCC's on-die interconnect: a 6x4 2D grid of
 // routers (one per tile) using dimension-ordered X-then-Y routing. The
-// timing model only needs hop counts (the SCC latency formula charges
-// 4·2·C_mesh per hop), but the package also exposes full route enumeration
-// and per-link utilisation accounting so congestion can be inspected.
+// timing model only needs hop counts: the SCC latency formula charges
+// 4·2·C_mesh per hop.
 package mesh
 
 import "fmt"
@@ -19,10 +18,6 @@ func (c Coord) String() string { return fmt.Sprintf("(%d,%d)", c.X, c.Y) }
 // Mesh is a W x H grid of routers.
 type Mesh struct {
 	W, H int
-	// linkX[y][x] counts traversals of the horizontal link between
-	// (x,y) and (x+1,y); linkY[y][x] the vertical link (x,y)-(x,y+1).
-	linkX [][]uint64
-	linkY [][]uint64
 }
 
 // New builds a W x H mesh. The SCC's is 6x4.
@@ -30,14 +25,7 @@ func New(w, h int) *Mesh {
 	if w <= 0 || h <= 0 {
 		panic(fmt.Sprintf("mesh: non-positive dimensions %dx%d", w, h))
 	}
-	m := &Mesh{W: w, H: h}
-	m.linkX = make([][]uint64, h)
-	m.linkY = make([][]uint64, h)
-	for y := 0; y < h; y++ {
-		m.linkX[y] = make([]uint64, max(w-1, 0))
-		m.linkY[y] = make([]uint64, w)
-	}
-	return m
+	return &Mesh{W: w, H: h}
 }
 
 // NewSCC returns the SCC's 6x4 mesh.
@@ -56,113 +44,6 @@ func (m *Mesh) Hops(a, b Coord) int {
 	return abs(a.X-b.X) + abs(a.Y-b.Y)
 }
 
-// Route returns the sequence of coordinates XY routing visits from a to b,
-// inclusive of both endpoints: first along X, then along Y.
-func (m *Mesh) Route(a, b Coord) []Coord {
-	m.check(a)
-	m.check(b)
-	path := make([]Coord, 0, m.Hops(a, b)+1)
-	cur := a
-	path = append(path, cur)
-	for cur.X != b.X {
-		cur.X += sign(b.X - cur.X)
-		path = append(path, cur)
-	}
-	for cur.Y != b.Y {
-		cur.Y += sign(b.Y - cur.Y)
-		path = append(path, cur)
-	}
-	return path
-}
-
-// Traverse records one message travelling from a to b on every link of the
-// XY route and returns the hop count.
-func (m *Mesh) Traverse(a, b Coord) int {
-	path := m.Route(a, b)
-	for i := 0; i+1 < len(path); i++ {
-		p, q := path[i], path[i+1]
-		switch {
-		case q.X == p.X+1:
-			m.linkX[p.Y][p.X]++
-		case q.X == p.X-1:
-			m.linkX[p.Y][q.X]++
-		case q.Y == p.Y+1:
-			m.linkY[p.Y][p.X]++
-		default: // q.Y == p.Y-1
-			m.linkY[q.Y][p.X]++
-		}
-	}
-	return len(path) - 1
-}
-
-// LinkLoad returns the traversal count of the link between adjacent
-// coordinates a and b; it panics when a and b are not neighbours.
-func (m *Mesh) LinkLoad(a, b Coord) uint64 {
-	m.check(a)
-	m.check(b)
-	switch {
-	case a.Y == b.Y && b.X == a.X+1:
-		return m.linkX[a.Y][a.X]
-	case a.Y == b.Y && b.X == a.X-1:
-		return m.linkX[a.Y][b.X]
-	case a.X == b.X && b.Y == a.Y+1:
-		return m.linkY[a.Y][a.X]
-	case a.X == b.X && b.Y == a.Y-1:
-		return m.linkY[b.Y][a.X]
-	}
-	panic(fmt.Sprintf("mesh: %v and %v are not adjacent", a, b))
-}
-
-// MaxLinkLoad returns the highest traversal count over all links - the
-// congestion hot spot.
-func (m *Mesh) MaxLinkLoad() uint64 {
-	var best uint64
-	for y := 0; y < m.H; y++ {
-		for _, v := range m.linkX[y] {
-			if v > best {
-				best = v
-			}
-		}
-		if y+1 < m.H {
-			for _, v := range m.linkY[y] {
-				if v > best {
-					best = v
-				}
-			}
-		}
-	}
-	return best
-}
-
-// TotalTraversals returns the sum of all link traversal counts
-// (= sum over messages of their hop counts).
-func (m *Mesh) TotalTraversals() uint64 {
-	var t uint64
-	for y := 0; y < m.H; y++ {
-		for _, v := range m.linkX[y] {
-			t += v
-		}
-		if y+1 < m.H {
-			for _, v := range m.linkY[y] {
-				t += v
-			}
-		}
-	}
-	return t
-}
-
-// ResetLoads zeroes all link counters.
-func (m *Mesh) ResetLoads() {
-	for y := 0; y < m.H; y++ {
-		for x := range m.linkX[y] {
-			m.linkX[y][x] = 0
-		}
-		for x := range m.linkY[y] {
-			m.linkY[y][x] = 0
-		}
-	}
-}
-
 func (m *Mesh) check(c Coord) {
 	if !m.InBounds(c) {
 		panic(fmt.Sprintf("mesh: coordinate %v outside %dx%d", c, m.W, m.H))
@@ -174,55 +55,4 @@ func abs(x int) int {
 		return -x
 	}
 	return x
-}
-
-func sign(x int) int {
-	switch {
-	case x > 0:
-		return 1
-	case x < 0:
-		return -1
-	}
-	return 0
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// Diameter returns the longest shortest-path (in hops) between any two
-// routers: (W-1)+(H-1) for a mesh.
-func (m *Mesh) Diameter() int { return m.W - 1 + m.H - 1 }
-
-// BisectionLinks returns the number of links crossing the vertical cut
-// that splits the mesh into two halves of columns - the structural
-// bisection width (H for an even-width mesh).
-func (m *Mesh) BisectionLinks() int {
-	if m.W < 2 {
-		return 0
-	}
-	return m.H
-}
-
-// AverageDistance returns the mean hop count over all ordered router pairs
-// (excluding self-pairs).
-func (m *Mesh) AverageDistance() float64 {
-	n := m.W * m.H
-	if n < 2 {
-		return 0
-	}
-	total := 0
-	for ay := 0; ay < m.H; ay++ {
-		for ax := 0; ax < m.W; ax++ {
-			for by := 0; by < m.H; by++ {
-				for bx := 0; bx < m.W; bx++ {
-					total += abs(ax-bx) + abs(ay-by)
-				}
-			}
-		}
-	}
-	return float64(total) / float64(n*n-n)
 }

@@ -474,3 +474,24 @@ func TestParseBackend(t *testing.T) {
 		}
 	}
 }
+
+// FuzzParseBackend: whatever ParseBackend accepts round-trips through
+// String, and the empty string is the default goroutine backend.
+func FuzzParseBackend(f *testing.F) {
+	for _, s := range []string{"", "goroutine", "des", "DES", "des ", "threads", "backend(2)"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		b, err := ParseBackend(s)
+		if err != nil {
+			return // rejection is fine; panics are not
+		}
+		if s == "" && b != BackendGoroutine {
+			t.Fatalf("ParseBackend(\"\") = %v, want %v", b, BackendGoroutine)
+		}
+		again, err := ParseBackend(b.String())
+		if err != nil || again != b {
+			t.Fatalf("ParseBackend(%q) = %v does not round-trip: ParseBackend(%q) = %v, %v", s, b, b.String(), again, err)
+		}
+	})
+}

@@ -74,7 +74,7 @@ func (c JobConfig) Canonical() (JobConfig, error) {
 	if c.Scale == 0 {
 		c.Scale = 0.25
 	}
-	if c.Scale <= 0 || c.Scale > 1 {
+	if !(c.Scale > 0 && c.Scale <= 1) {
 		return c, fmt.Errorf("serve: scale %v outside (0, 1]", c.Scale)
 	}
 	if c.Stride == 0 {

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 
@@ -50,6 +51,7 @@ func TestCanonicalRejectsInvalid(t *testing.T) {
 		{"unknown experiment", JobConfig{Experiment: "nope"}},
 		{"scale too big", JobConfig{Experiment: "fig3", Scale: 1.5}},
 		{"negative scale", JobConfig{Experiment: "fig3", Scale: -0.1}},
+		{"NaN scale", JobConfig{Experiment: "fig3", Scale: math.NaN()}},
 		{"negative stride", JobConfig{Experiment: "fig3", Stride: -1}},
 		{"negative max", JobConfig{Experiment: "fig3", MaxMatrices: -1}},
 		{"bad pricing", JobConfig{Experiment: "fig3", Pricing: "psychic"}},

@@ -366,3 +366,24 @@ func TestParsePricing(t *testing.T) {
 		}
 	}
 }
+
+// FuzzParsePricing: whatever ParsePricing accepts round-trips through
+// String, and the empty string is the default mode.
+func FuzzParsePricing(f *testing.F) {
+	for _, s := range []string{"", "auto", "exact", "analytic", "Exact", " auto", "invalid", "magic"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		p, err := ParsePricing(s)
+		if err != nil {
+			return // rejection is fine; panics are not
+		}
+		if s == "" && p != PricingAuto {
+			t.Fatalf("ParsePricing(\"\") = %v, want %v", p, PricingAuto)
+		}
+		again, err := ParsePricing(p.String())
+		if err != nil || again != p {
+			t.Fatalf("ParsePricing(%q) = %v does not round-trip: ParsePricing(%q) = %v, %v", s, p, p.String(), again, err)
+		}
+	})
+}

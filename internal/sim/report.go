@@ -37,22 +37,3 @@ func (r *Result) WriteReport(w io.Writer) error {
 	}
 	return nil
 }
-
-// Summary returns the one-line digest of the run.
-func (r *Result) Summary() string {
-	return fmt.Sprintf("%s: %d UEs, %.1f MFLOPS in %.3f ms at %.1f W (%s kernel)",
-		r.Matrix, r.UEs, r.MFLOPS, r.TimeSec*1e3, r.PowerWatts, r.Variant)
-}
-
-// AggregateCacheStats sums the per-core hierarchy counters.
-func (r *Result) AggregateCacheStats() (s struct {
-	Accesses, L1Hits, L2Hits, MemAccesses uint64
-}) {
-	for _, c := range r.PerCore {
-		s.Accesses += c.Cache.Accesses
-		s.L1Hits += c.Cache.L1Hits
-		s.L2Hits += c.Cache.L2Hits
-		s.MemAccesses += c.Cache.MemAccesses
-	}
-	return s
-}

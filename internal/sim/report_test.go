@@ -25,31 +25,3 @@ func TestWriteReport(t *testing.T) {
 		t.Fatalf("report too short (%d lines):\n%s", lines, out)
 	}
 }
-
-func TestResultSummary(t *testing.T) {
-	m := NewMachine(scc.Conf0)
-	r := mustRun(t, m, fixSmall, Options{UEs: 2})
-	s := r.Summary()
-	if !strings.Contains(s, "2 UEs") || !strings.Contains(s, "standard kernel") {
-		t.Fatalf("summary = %q", s)
-	}
-}
-
-func TestAggregateCacheStats(t *testing.T) {
-	m := NewMachine(scc.Conf0)
-	r := mustRun(t, m, fixSmall, Options{UEs: 3})
-	agg := r.AggregateCacheStats()
-	if agg.Accesses == 0 {
-		t.Fatal("no accesses aggregated")
-	}
-	if agg.L1Hits+agg.L2Hits+agg.MemAccesses != agg.Accesses {
-		t.Fatal("aggregate levels do not partition accesses")
-	}
-	var manual uint64
-	for _, c := range r.PerCore {
-		manual += c.Cache.Accesses
-	}
-	if agg.Accesses != manual {
-		t.Fatal("aggregation mismatch")
-	}
-}

@@ -2,10 +2,10 @@ package sparse
 
 import "fmt"
 
-// This file holds the alternative storage formats used by the format
-// ablation (DESIGN.md, abl-fmt): ELLPACK, blocked CSR and CSC. The paper
-// itself evaluates plain CSR; these formats quantify how much of its
-// conclusions are format-specific.
+// This file holds two of the alternative storage formats used by the format
+// ablation (DESIGN.md, abl-fmt): ELLPACK and blocked CSR (DIA and HYB are in
+// diahyb.go). The paper itself evaluates plain CSR; these formats quantify
+// how much of its conclusions are format-specific.
 
 // ELL is the ELLPACK format: every row is padded to the same width K and the
 // columns/values are stored in row-major KxRows rectangles. It trades padding
@@ -200,44 +200,6 @@ func (b *BCSR) MulVec(y, x []float64) {
 				}
 				y[i] = t
 			}
-		}
-	}
-}
-
-// CSC is the compressed-sparse-column format; it is the CSR of the transpose
-// and is provided for completeness (column-major algorithms, A^T·x).
-type CSC struct {
-	Name       string
-	Rows, Cols int
-	Ptr        []int32 // Cols+1 entries
-	Index      []int32 // row index of each entry
-	Val        []float64
-}
-
-// ToCSC converts a CSR matrix to CSC.
-func ToCSC(m *CSR) *CSC {
-	t := m.Transpose()
-	return &CSC{
-		Name: m.Name, Rows: m.Rows, Cols: m.Cols,
-		Ptr: t.Ptr, Index: t.Index, Val: t.Val,
-	}
-}
-
-// MulVec computes y = A·x by scattering columns; y is zeroed first.
-func (c *CSC) MulVec(y, x []float64) {
-	if len(x) != c.Cols || len(y) != c.Rows {
-		panic("sparse: CSC MulVec dimension mismatch")
-	}
-	for i := range y {
-		y[i] = 0
-	}
-	for j := 0; j < c.Cols; j++ {
-		xj := x[j]
-		if xj == 0 {
-			continue
-		}
-		for k := c.Ptr[j]; k < c.Ptr[j+1]; k++ {
-			y[c.Index[k]] += c.Val[k] * xj
 		}
 	}
 }

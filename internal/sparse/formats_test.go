@@ -93,40 +93,3 @@ func TestBCSRPanicsOnBadBlocks(t *testing.T) {
 	}()
 	ToBCSR(m, 0, 0)
 }
-
-func TestCSCMatchesCSR(t *testing.T) {
-	m := Generate(Gen{Name: "c", Class: PatternBanded, N: 140, NNZTarget: 1600, Seed: 8})
-	c := ToCSC(m)
-	x, _ := testVectors(m.Cols)
-	want := make([]float64, m.Rows)
-	got := make([]float64, m.Rows)
-	m.MulVec(want, x)
-	c.MulVec(got, x)
-	vecApproxEqual(t, got, want, "csc")
-}
-
-func TestCSCSkipsZeroXEntries(t *testing.T) {
-	m := Dense(8, 1)
-	c := ToCSC(m)
-	x := make([]float64, 8) // all zero
-	y := make([]float64, 8)
-	for i := range y {
-		y[i] = 99 // must be overwritten with zeros
-	}
-	c.MulVec(y, x)
-	for i, v := range y {
-		if v != 0 {
-			t.Fatalf("y[%d] = %v, want 0", i, v)
-		}
-	}
-}
-
-func TestDenseHelper(t *testing.T) {
-	m := Dense(6, 42)
-	if m.NNZ() != 36 {
-		t.Fatalf("Dense(6) nnz = %d, want 36", m.NNZ())
-	}
-	if err := m.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}

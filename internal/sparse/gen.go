@@ -327,27 +327,6 @@ func genBlock(g Gen, rng *rand.Rand) *CSR {
 	return b.m
 }
 
-// Dense returns an n x n matrix with every entry stored - small helper for
-// tests and examples that need a fully populated pattern.
-func Dense(n int, seed int64) *CSR {
-	rng := rand.New(rand.NewSource(seed))
-	m := &CSR{
-		Name: fmt.Sprintf("dense%d", n),
-		Rows: n, Cols: n,
-		Ptr:   make([]int32, n+1),
-		Index: make([]int32, 0, n*n),
-		Val:   make([]float64, 0, n*n),
-	}
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			m.Index = append(m.Index, int32(j))
-			m.Val = append(m.Val, rng.Float64())
-		}
-		m.Ptr[i+1] = int32((i + 1) * n)
-	}
-	return m
-}
-
 // Identity returns the n x n identity matrix.
 func Identity(n int) *CSR {
 	m := &CSR{

@@ -50,7 +50,7 @@ func (e TestbedEntry) Generate() *CSR { return e.GenerateScaled(1) }
 // working set proportionally, which keeps experiment run times manageable
 // while preserving the relative ws ordering across the suite.
 func (e TestbedEntry) GenerateScaled(f float64) *CSR {
-	if f <= 0 || f > 1 {
+	if !(f > 0 && f <= 1) {
 		panic(fmt.Sprintf("sparse: scale %v outside (0,1]", f))
 	}
 	n := int(math.Max(64, math.Round(float64(e.N)*f)))

@@ -1,7 +1,9 @@
 package sparse
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -129,11 +131,13 @@ func TestGenerateScaledPreservesShape(t *testing.T) {
 
 func TestGenerateScaledBounds(t *testing.T) {
 	e := Testbed()[0]
-	for _, bad := range []float64{0, -1, 1.5} {
+	for _, bad := range []float64{0, -1, 1.5, math.NaN()} {
 		func() {
 			defer func() {
-				if recover() == nil {
-					t.Errorf("GenerateScaled(%v) did not panic", bad)
+				// The panic must come from the scale check, not from a
+				// downstream generator fed a garbage size.
+				if r := recover(); !strings.Contains(fmt.Sprint(r), "scale") {
+					t.Errorf("GenerateScaled(%v) panicked with %v, want a scale error", bad, r)
 				}
 			}()
 			e.GenerateScaled(bad)

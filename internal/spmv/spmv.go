@@ -145,38 +145,3 @@ func RCCEWith(opts rcce.Options, a *sparse.CSR, x []float64, ues int, mapping sc
 	}
 	return out, nil
 }
-
-// Iterate runs iters repeated products y = A·(A·(...x)) sequentially,
-// normalising between steps - the power-method loop used by the examples
-// and the benchmark harness to emulate a solver workload.
-func Iterate(a *sparse.CSR, x []float64, iters int) ([]float64, error) {
-	if a.Rows != a.Cols {
-		return nil, fmt.Errorf("spmv: Iterate needs a square matrix")
-	}
-	if len(x) != a.Cols {
-		return nil, fmt.Errorf("spmv: len(x)=%d != %d", len(x), a.Cols)
-	}
-	cur := append([]float64(nil), x...)
-	next := make([]float64, a.Rows)
-	for it := 0; it < iters; it++ {
-		a.MulVec(next, cur)
-		// Normalise by the max magnitude to avoid overflow.
-		maxAbs := 0.0
-		for _, v := range next {
-			if v < 0 {
-				v = -v
-			}
-			if v > maxAbs {
-				maxAbs = v
-			}
-		}
-		if maxAbs == 0 {
-			copy(cur, next)
-			break
-		}
-		for i := range next {
-			cur[i] = next[i] / maxAbs
-		}
-	}
-	return cur, nil
-}

@@ -101,39 +101,6 @@ func TestRCCEValidation(t *testing.T) {
 	}
 }
 
-func TestIteratePowerMethod(t *testing.T) {
-	// The identity: any normalised vector is a fixed point.
-	a := sparse.Identity(10)
-	x := make([]float64, 10)
-	x[3] = 2
-	out, err := Iterate(a, x, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(out[3]-1) > 1e-12 {
-		t.Fatalf("power iteration on identity: %v", out)
-	}
-	if _, err := Iterate(&sparse.CSR{Rows: 2, Cols: 3, Ptr: []int32{0, 0, 0}}, x, 1); err == nil {
-		t.Error("non-square accepted")
-	}
-	if _, err := Iterate(a, x[:3], 1); err == nil {
-		t.Error("short x accepted")
-	}
-}
-
-func TestIterateZeroMatrix(t *testing.T) {
-	z := &sparse.CSR{Rows: 4, Cols: 4, Ptr: []int32{0, 0, 0, 0, 0}}
-	out, err := Iterate(z, []float64{1, 1, 1, 1}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range out {
-		if v != 0 {
-			t.Fatalf("zero matrix iterate = %v", out)
-		}
-	}
-}
-
 func TestCGSolvesLaplacian(t *testing.T) {
 	a := sparse.Laplacian2D(16) // SPD, n=256
 	n := a.Rows

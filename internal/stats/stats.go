@@ -1,13 +1,10 @@
 // Package stats provides the small numeric summaries the experiment
-// harness reports (means, geometric means, speedups) and a fixed-width
-// text-table renderer for the regenerated paper tables and figures.
+// harness reports (means, maxima, fractions above a threshold) and a
+// fixed-width text-table renderer for the regenerated paper tables and
+// figures.
 package stats
 
-import (
-	"fmt"
-	"math"
-	"sort"
-)
+import "math"
 
 // Mean returns the arithmetic mean, or 0 for an empty slice.
 func Mean(v []float64) float64 {
@@ -21,31 +18,6 @@ func Mean(v []float64) float64 {
 	return s / float64(len(v))
 }
 
-// GeoMean returns the geometric mean; it panics on non-positive inputs
-// (speedups and throughputs are positive by construction).
-func GeoMean(v []float64) float64 {
-	if len(v) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range v {
-		if x <= 0 {
-			panic(fmt.Sprintf("stats: GeoMean of non-positive value %v", x))
-		}
-		s += math.Log(x)
-	}
-	return math.Exp(s / float64(len(v)))
-}
-
-// Min returns the minimum, or +Inf for an empty slice.
-func Min(v []float64) float64 {
-	m := math.Inf(1)
-	for _, x := range v {
-		m = math.Min(m, x)
-	}
-	return m
-}
-
 // Max returns the maximum, or -Inf for an empty slice.
 func Max(v []float64) float64 {
 	m := math.Inf(-1)
@@ -53,42 +25,6 @@ func Max(v []float64) float64 {
 		m = math.Max(m, x)
 	}
 	return m
-}
-
-// Median returns the median, or 0 for an empty slice.
-func Median(v []float64) float64 {
-	if len(v) == 0 {
-		return 0
-	}
-	c := append([]float64(nil), v...)
-	sort.Float64s(c)
-	n := len(c)
-	if n%2 == 1 {
-		return c[n/2]
-	}
-	return (c[n/2-1] + c[n/2]) / 2
-}
-
-// Stddev returns the population standard deviation.
-func Stddev(v []float64) float64 {
-	if len(v) == 0 {
-		return 0
-	}
-	m := Mean(v)
-	s := 0.0
-	for _, x := range v {
-		d := x - m
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(v)))
-}
-
-// Speedup returns new/old and panics on a non-positive baseline.
-func Speedup(baseline, improved float64) float64 {
-	if baseline <= 0 {
-		panic(fmt.Sprintf("stats: speedup against non-positive baseline %v", baseline))
-	}
-	return improved / baseline
 }
 
 // FractionAbove returns the fraction of values strictly above the threshold.
@@ -103,31 +39,4 @@ func FractionAbove(v []float64, threshold float64) float64 {
 		}
 	}
 	return float64(n) / float64(len(v))
-}
-
-// Summary is a five-number description of a sample.
-type Summary struct {
-	N                           int
-	Mean, Min, Median, Max, Std float64
-}
-
-// Summarize computes a Summary.
-func Summarize(v []float64) Summary {
-	if len(v) == 0 {
-		return Summary{}
-	}
-	return Summary{
-		N:      len(v),
-		Mean:   Mean(v),
-		Min:    Min(v),
-		Median: Median(v),
-		Max:    Max(v),
-		Std:    Stddev(v),
-	}
-}
-
-// String implements fmt.Stringer.
-func (s Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%.3g min=%.3g med=%.3g max=%.3g std=%.3g",
-		s.N, s.Mean, s.Min, s.Median, s.Max, s.Std)
 }

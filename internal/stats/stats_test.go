@@ -2,10 +2,8 @@ package stats
 
 import (
 	"math"
-	"math/rand"
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
 func TestMean(t *testing.T) {
@@ -17,59 +15,13 @@ func TestMean(t *testing.T) {
 	}
 }
 
-func TestGeoMean(t *testing.T) {
-	if got := GeoMean([]float64{1, 4}); math.Abs(got-2) > 1e-12 {
-		t.Fatalf("geomean = %v, want 2", got)
+func TestMax(t *testing.T) {
+	if Max([]float64{5, 1, 3}) != 5 {
+		t.Fatal("max")
 	}
-	if GeoMean(nil) != 0 {
-		t.Fatal("empty geomean")
+	if !math.IsInf(Max(nil), -1) {
+		t.Fatal("empty max")
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("geomean of zero did not panic")
-		}
-	}()
-	GeoMean([]float64{1, 0})
-}
-
-func TestMinMaxMedian(t *testing.T) {
-	v := []float64{5, 1, 3}
-	if Min(v) != 1 || Max(v) != 5 || Median(v) != 3 {
-		t.Fatalf("min/max/median = %v/%v/%v", Min(v), Max(v), Median(v))
-	}
-	if Median([]float64{1, 2, 3, 4}) != 2.5 {
-		t.Fatal("even median")
-	}
-	if Median(nil) != 0 {
-		t.Fatal("empty median")
-	}
-	if !math.IsInf(Min(nil), 1) || !math.IsInf(Max(nil), -1) {
-		t.Fatal("empty min/max")
-	}
-}
-
-func TestStddev(t *testing.T) {
-	if Stddev([]float64{2, 2, 2}) != 0 {
-		t.Fatal("constant stddev != 0")
-	}
-	if got := Stddev([]float64{1, 3}); math.Abs(got-1) > 1e-12 {
-		t.Fatalf("stddev = %v, want 1", got)
-	}
-	if Stddev(nil) != 0 {
-		t.Fatal("empty stddev")
-	}
-}
-
-func TestSpeedup(t *testing.T) {
-	if Speedup(2, 3) != 1.5 {
-		t.Fatal("speedup")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("zero baseline did not panic")
-		}
-	}()
-	Speedup(0, 1)
 }
 
 func TestFractionAbove(t *testing.T) {
@@ -79,19 +31,6 @@ func TestFractionAbove(t *testing.T) {
 	}
 	if FractionAbove(nil, 0) != 0 {
 		t.Fatal("empty fraction")
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{1, 2, 3})
-	if s.N != 3 || s.Mean != 2 || s.Min != 1 || s.Max != 3 || s.Median != 2 {
-		t.Fatalf("summary = %+v", s)
-	}
-	if !strings.Contains(s.String(), "n=3") {
-		t.Fatalf("summary string = %q", s.String())
-	}
-	if Summarize(nil).N != 0 {
-		t.Fatal("empty summary")
 	}
 }
 
@@ -142,35 +81,4 @@ func TestFormatFloat(t *testing.T) {
 			t.Errorf("formatFloat(%v) = %q, want %q", in, got, want)
 		}
 	}
-}
-
-// Property: Min <= Median <= Max and Min <= Mean <= Max.
-func TestQuickSummaryOrdering(t *testing.T) {
-	f := func(raw []float64) bool {
-		v := make([]float64, 0, len(raw))
-		for _, x := range raw {
-			if !math.IsNaN(x) && !math.IsInf(x, 0) {
-				v = append(v, math.Mod(x, 1e6))
-			}
-		}
-		if len(v) == 0 {
-			return true
-		}
-		s := Summarize(v)
-		return s.Min <= s.Median+1e-9 && s.Median <= s.Max+1e-9 &&
-			s.Min <= s.Mean+1e-9 && s.Mean <= s.Max+1e-9
-	}
-	if err := quick.Check(f, quickConfig(t, 50)); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// quickSeed seeds every property's random source, so a failure reproduces.
-const quickSeed = 1
-
-// quickConfig returns a quick.Config drawing its inputs from quickSeed.
-func quickConfig(t *testing.T, maxCount int) *quick.Config {
-	t.Helper()
-	t.Logf("quick seed %d", quickSeed)
-	return &quick.Config{MaxCount: maxCount, Rand: rand.New(rand.NewSource(quickSeed))}
 }
