@@ -93,11 +93,13 @@ des-smoke:
 
 # fuzz-smoke runs each fuzz target for a short fixed -fuzztime beyond
 # its seed corpus (which plain go test already replays): the
-# MatrixMarket parser, the sccsimd job canonicaliser, the mesh geometry
+# MatrixMarket parser, the generator's row builder against its original
+# sort-based flush, the sccsimd job canonicaliser, the mesh geometry
 # parser and the -pricing and -engine flag parsers. A crasher is written
 # under the package's testdata/fuzz and fails the target.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadMatrixMarket$$' -fuzztime 10s ./internal/sparse
+	$(GO) test -run '^$$' -fuzz '^FuzzRowBuilder$$' -fuzztime 10s ./internal/sparse
 	$(GO) test -run '^$$' -fuzz '^FuzzJobConfigCanonical$$' -fuzztime 10s ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzParseGeometry$$' -fuzztime 10s ./internal/scc
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePricing$$' -fuzztime 10s ./internal/sim

@@ -134,10 +134,10 @@ func (c Config) context() context.Context {
 	return c.Ctx
 }
 
-// DefaultMatrixCacheBytes bounds the shared generated-matrix cache: large
-// enough to keep the default quarter-scale testbed (~320 MB of CSR data)
-// fully resident, small enough that a full-scale (Scale=1) suite, which
-// would need ~1.2 GB, is held partially and streamed via LRU eviction.
+// DefaultMatrixCacheBytes bounds the shared generated-matrix cache. The
+// testbed's CSR data is 210 MiB at the default quarter scale and 885 MiB
+// at Scale=1, so either suite stays resident; stream profiles share the
+// budget, and LRU eviction streams matrices when they crowd it.
 const DefaultMatrixCacheBytes = 1 << 30
 
 var sharedMatrixCache = sparse.NewMatrixCache(DefaultMatrixCacheBytes)

@@ -33,10 +33,12 @@ var (
 // scale) behind a byte-budgeted LRU. Experiment sweeps revisit the same
 // matrices once per configuration (core count, clock config, kernel
 // variant, ...); regenerating them dominated sweep wall clock, but the
-// full-scale testbed (~1.2 GB of CSR data) cannot simply live in memory
-// all at once. The budget bounds resident bytes and least-recently-used
-// matrices are dropped first, preserving the release-before-next contract
-// of Config.forEachMatrix in internal/experiments.
+// full-scale testbed (885 MiB of CSR data) is most of a 1 GiB budget on
+// its own. The budget bounds resident bytes, priced by CSR.SizeBytes
+// (Generate returns arrays with no spare capacity, so that is what a
+// matrix holds), and least-recently-used matrices are dropped first,
+// preserving the release-before-next contract of Config.forEachMatrix in
+// internal/experiments.
 //
 // Generation is deterministic (each entry carries a fixed seed), so a
 // cached matrix is identical to a freshly generated one.

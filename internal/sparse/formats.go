@@ -215,10 +215,3 @@ func insertionSortInt32(a []int32) {
 		a[j+1] = v
 	}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -3,8 +3,9 @@ package sparse
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
-	"sort"
+	"slices"
 )
 
 // This file provides deterministic synthetic pattern generators. The paper
@@ -82,6 +83,10 @@ func Generate(g Gen) *CSR {
 		panic(fmt.Sprintf("sparse: unknown pattern class %q", g.Class))
 	}
 	m.Name = g.Name
+	// The builders reserve room for the nnz target; hand back arrays of
+	// exactly their length, since the matrix cache budgets by SizeBytes.
+	m.Index = slices.Clip(slices.Clone(m.Index))
+	m.Val = slices.Clip(slices.Clone(m.Val))
 	return m
 }
 
@@ -89,8 +94,17 @@ func Generate(g Gen) *CSR {
 type rowBuilder struct {
 	m    *CSR
 	cols []int32
+	set  []uint64 // column bitset of the row being flushed; all zero between rows
 	rng  *rand.Rand
 }
+
+// bitsetWordsPerCol bounds the bitset path of flushRow: a row whose column
+// span covers at most this many 64-bit words per pending column is ordered
+// by the bitset, any other row by a sort, so a row costs O(len) or
+// O(len log len), never O(n). Per column, on rows of 8 to 128 random
+// columns, the bitset is no slower than slices.Sort up to 4 words per
+// column; past that the shortest rows sort faster.
+const bitsetWordsPerCol = 4
 
 func newRowBuilder(n, capHint int, rng *rand.Rand) *rowBuilder {
 	return &rowBuilder{
@@ -104,31 +118,73 @@ func newRowBuilder(n, capHint int, rng *rand.Rand) *rowBuilder {
 	}
 }
 
-// flushRow sorts, deduplicates and appends the pending columns as the next
-// row, assigning values: a dominant diagonal (when present) and random
-// off-diagonal weights, so the matrices are usable in iterative solvers.
+// flushRow appends the pending columns as the next row, unique and in
+// ascending order, drawing one uniform (-1, 1) value per column in that
+// order. A row whose column span is dense enough is ordered by setting one
+// bit per column in a bitset over [lo, hi] and reading the words back;
+// other rows are sorted and deduplicated. Either way the emission order,
+// and so the sequence of rng draws, is that of a sort. When the row holds
+// its diagonal, that entry's value is replaced by the row length plus one,
+// a dominant diagonal that keeps the matrices usable in iterative solvers.
 func (b *rowBuilder) flushRow(row int) {
-	sort.Slice(b.cols, func(i, j int) bool { return b.cols[i] < b.cols[j] })
-	prev := int32(-1)
-	start := len(b.m.Val)
-	for _, c := range b.cols {
-		if c == prev {
-			continue
+	start := len(b.m.Index)
+	diag := -1
+	if len(b.cols) > 0 {
+		lo, hi := b.cols[0], b.cols[0]
+		for _, c := range b.cols[1:] {
+			lo, hi = min(lo, c), max(hi, c)
 		}
-		prev = c
-		v := b.rng.Float64()*2 - 1 // uniform in (-1, 1)
-		b.m.Index = append(b.m.Index, c)
-		b.m.Val = append(b.m.Val, v)
+		if words := int(hi-lo)>>6 + 1; words <= bitsetWordsPerCol*len(b.cols) {
+			if len(b.set) < words {
+				b.set = make([]uint64, words)
+			}
+			set := b.set[:words]
+			for _, c := range b.cols {
+				off := c - lo
+				set[off>>6] |= 1 << (off & 63)
+			}
+			for w, word := range set {
+				if word == 0 {
+					continue
+				}
+				set[w] = 0
+				base := lo + int32(w<<6)
+				for word != 0 {
+					c := base + int32(bits.TrailingZeros64(word))
+					word &= word - 1
+					if int(c) == row {
+						diag = len(b.m.Index)
+					}
+					b.emit(c)
+				}
+			}
+		} else {
+			slices.Sort(b.cols)
+			prev := int32(-1)
+			for _, c := range b.cols {
+				if c == prev {
+					continue
+				}
+				prev = c
+				if int(c) == row {
+					diag = len(b.m.Index)
+				}
+				b.emit(c)
+			}
+		}
 	}
-	// Make the diagonal dominant when the row contains it: keeps the
-	// testbed matrices positive-definite-ish for the CG example.
-	for k := start; k < len(b.m.Val); k++ {
-		if int(b.m.Index[k]) == row {
-			b.m.Val[k] = float64(len(b.m.Val)-start) + 1
-		}
+	if diag >= 0 {
+		b.m.Val[diag] = float64(len(b.m.Val)-start) + 1
 	}
 	b.m.Ptr = append(b.m.Ptr, int32(len(b.m.Val)))
 	b.cols = b.cols[:0]
+}
+
+// emit appends column c to the row being flushed with a value uniform in
+// (-1, 1).
+func (b *rowBuilder) emit(c int32) {
+	b.m.Index = append(b.m.Index, c)
+	b.m.Val = append(b.m.Val, b.rng.Float64()*2-1)
 }
 
 func (b *rowBuilder) add(col int) {
@@ -150,7 +206,7 @@ func genStencil2D(g Gen, rng *rand.Rand) *CSR {
 	radius := int(math.Max(1, math.Round((want-1)/4)))
 	b := newRowBuilder(n, g.NNZTarget+n, rng)
 	for i := 0; i < n; i++ {
-		x, y := i%side, i/side
+		x := i % side
 		b.add(i)
 		for r := 1; r <= radius; r++ {
 			if x-r >= 0 {
@@ -162,7 +218,6 @@ func genStencil2D(g Gen, rng *rand.Rand) *CSR {
 			b.add(i - r*side)
 			b.add(i + r*side)
 		}
-		_ = y
 		b.flushRow(i)
 	}
 	return b.m
@@ -258,9 +313,8 @@ func genPowerLaw(g Gen, rng *rand.Rand) *CSR {
 	mean := float64(g.NNZTarget) / float64(n)
 	// Row length ~ Pareto with the requested mean; clamp to [1, n].
 	alpha := 2.2
-	xm := mean * (alpha - 2) / (alpha - 1) // mean of Pareto(alpha, xm) is xm*a/(a-1)... see note
-	// For alpha=2.2 the mean is xm*alpha/(alpha-1); solve xm = mean*(alpha-1)/alpha.
-	xm = mean * (alpha - 1) / alpha
+	// The mean of Pareto(alpha, xm) is xm*alpha/(alpha-1); solve for xm.
+	xm := mean * (alpha - 1) / alpha
 	if xm < 1 {
 		xm = 1
 	}

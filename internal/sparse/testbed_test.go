@@ -157,6 +157,19 @@ func TestTestbedGenerationSmallScaleAllEntries(t *testing.T) {
 	}
 }
 
+// TestGenerateExactSizeArrays checks that generated matrices hold no spare
+// capacity: the matrix cache budgets by SizeBytes, which prices len, so any
+// spare capacity would be resident memory the budget does not see.
+func TestGenerateExactSizeArrays(t *testing.T) {
+	for _, e := range Testbed() {
+		m := e.GenerateScaled(0.05)
+		if cap(m.Ptr) != len(m.Ptr) || cap(m.Index) != len(m.Index) || cap(m.Val) != len(m.Val) {
+			t.Errorf("%s: cap/len Ptr %d/%d, Index %d/%d, Val %d/%d", e.Name,
+				cap(m.Ptr), len(m.Ptr), cap(m.Index), len(m.Index), cap(m.Val), len(m.Val))
+		}
+	}
+}
+
 func TestTestbedEntryWorkingSetFormula(t *testing.T) {
 	e := TestbedEntry{ID: 1, Name: "x", N: 1000, NNZ: 10000}
 	want := int64(4*(1001+10000) + 8*(10000+2000))
