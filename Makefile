@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build check test race chaos bench des-smoke fuzz-smoke metrics-smoke serve-smoke trace-smoke examples-smoke sccvet sccvet-json fmt-check ci clean
+.PHONY: all build check test race chaos bench microbench-smoke des-smoke fuzz-smoke metrics-smoke serve-smoke trace-smoke examples-smoke sccvet sccvet-json fmt-check ci clean
 
 all: build
 
@@ -71,12 +71,19 @@ chaos:
 # recorder's post-mortem path), the fuzz smoke (a short fixed run of
 # every fuzz target past its seed corpus), the examples smoke (every
 # example and the untested CLIs run to a clean exit), and last the
-# benchmark module's own tests.
-ci: check sccvet-json race chaos des-smoke serve-smoke trace-smoke fuzz-smoke examples-smoke
+# benchmark module's own tests. microbench-smoke runs every package
+# benchmark once, so none of them can rot uncompiled.
+ci: check sccvet-json race chaos microbench-smoke des-smoke serve-smoke trace-smoke fuzz-smoke examples-smoke
 	cd perfbench && $(GO) test ./...
 
 bench:
 	$(GO) test -bench=. -benchmem
+
+# microbench-smoke runs each package benchmark for a single iteration
+# (internal/cache's hierarchy and cache loops, internal/sim's exact walk
+# and profile build/reuse, the root kernels, ...) and no tests.
+microbench-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # des-smoke runs the executable rcce-scaling sweep once per RCCE backend
 # (the goroutine oracle and the virtual-time discrete-event scheduler) on

@@ -215,67 +215,145 @@ type Result struct {
 // at addr. A miss allocates the line (write-allocate policy for both reads
 // and writes).
 func (c *Cache) Access(addr uint64, write bool) Result {
-	set, ln, key := c.locate(addr)
-	var r Result
-	if write && c.dirtyOnWrite == 0 {
-		c.stats.WriteThroughs++
-		r.WroteThrough = true
-	}
-	if hit := probe(ln, key); hit != 0 {
+	set, ln, key := locate[anyWays](c, addr)
+	r := Result{WroteThrough: c.writeThrough(write)}
+	if hit := probe[anyWays](ln, key); hit != 0 {
 		w := bits.TrailingZeros64(hit)
-		c.stats.Hits++
-		if write {
-			ln[w] |= c.dirtyOnWrite
-		}
+		c.hit(ln, w, write)
 		c.touch(set, w)
 		r.Hit = true
 		return r
 	}
-
-	// Miss. Fills take the lowest free way and only Flush invalidates, so
-	// a set's valid ways are a prefix: the set is full when its last way
-	// is valid, and otherwise the first invalid way is the free one.
-	c.stats.Misses++
-	var w int
-	if ln[len(ln)-1] != 0 {
-		w = c.victim(set)
-	} else {
-		for ln[w] != 0 {
-			w++
-		}
+	w, ok := c.victim(set, ln)
+	if !ok {
+		w = c.victimSlow(set)
 	}
-	old := ln[w]
+	old := c.fill(ln, w, key, write)
+	c.touch(set, w)
 	dirty := old >> 1 & lineValid
-	c.stats.Evictions += old & lineValid
-	c.stats.WriteBacks += dirty
 	r.WroteBack = dirty != 0
 	r.VictimAddr = (old>>flagBits<<(c.tagShift&63) | uint64(set)<<(c.lineShift&63)) & -dirty // 0 unless dirty
-	ln[w] = key
-	if write {
-		ln[w] |= c.dirtyOnWrite
-	}
-	c.touch(set, w)
 	return r
 }
+
+// The steps below are one access's transition at one level: locate the
+// set, probe it, then hit, or pick a victim and fill, and touch the way
+// used. Access and the hierarchy's access loop (accessLines) both run
+// these steps, and each is small enough for the compiler to inline into
+// them: a call in the loop would spill its live registers on every access.
+
+// wayCount fixes a cache's associativity at compile time: [4]struct{} is
+// the SCC's 4 ways, and anyWays reads it from the cache at run time. Each
+// array length is its own GC shape, so the 4-way instantiation is compiled
+// on its own with len(W) a constant: its set slices have a constant
+// length, and probe's scan is unrolled.
+type wayCount interface {
+	anyWays | [4]struct{}
+}
+
+// anyWays is the wayCount of a run-time associativity.
+type anyWays = [0]struct{}
 
 // locate returns the set addr maps to, that set's line words, and the word
 // a valid line holding addr has apart from its dirty flag. Both shifts are
 // below 64; masking them says so to the compiler, which otherwise guards
 // each against an over-wide shift.
-func (c *Cache) locate(addr uint64) (set int, ln []uint64, key uint64) {
+func locate[W wayCount](c *Cache, addr uint64) (set int, ln []uint64, key uint64) {
+	var fixed W
+	ways := c.ways
+	if len(fixed) > 0 {
+		ways = len(fixed)
+	}
 	set = int(addr>>(c.lineShift&63)) & c.setMask
-	base := set * c.ways
-	return set, c.lines[base : base+c.ways : base+c.ways], addr>>(c.tagShift&63)<<flagBits | lineValid
+	base := set * ways
+	return set, c.lines[base : base+ways : base+ways], addr>>(c.tagShift&63)<<flagBits | lineValid
 }
 
 // probe returns the hit mask of one set: bit w is set when way w's word
 // holds key (a tag with the valid flag set). A set holds a line at most
-// once, so at most one bit is set; the scan does not branch on the words.
-func probe(ln []uint64, key uint64) (hit uint64) {
-	for w := len(ln) - 1; w >= 0; w-- {
-		hit = hit<<1 | b2u(ln[w]&^lineDirty == key)
+// once, so at most one bit is set, and the scan does not branch on the
+// words. A fixed 4-way set is scanned unrolled. The body sits at the
+// compiler's inlining budget: the block loop relies on it inlining.
+func probe[W wayCount](ln []uint64, key uint64) (hit uint64) {
+	var fixed W
+	if len(fixed) == 4 {
+		if ln[0]&^lineDirty == key {
+			hit = 1
+		}
+		if ln[1]&^lineDirty == key {
+			hit = 2
+		}
+		if ln[2]&^lineDirty == key {
+			hit = 4
+		}
+		if ln[3]&^lineDirty == key {
+			hit = 8
+		}
+	} else {
+		for w, v := range ln {
+			hit |= b2u(v&^lineDirty == key) << w
+		}
 	}
 	return hit
+}
+
+// writeThrough counts a store that a write-through cache forwards below,
+// and reports whether it did.
+func (c *Cache) writeThrough(write bool) bool {
+	forwarded := write && c.dirtyOnWrite == 0
+	if forwarded {
+		c.stats.WriteThroughs++
+	}
+	return forwarded
+}
+
+// hit is the transition when way w of a set holds the line: a store dirties
+// a write-back line. The access then touches w.
+func (c *Cache) hit(ln []uint64, w int, write bool) {
+	c.stats.Hits++
+	if write {
+		ln[w] |= c.dirtyOnWrite
+	}
+}
+
+// victim returns the way a miss in a full tree-PLRU set fills, looked up
+// by tree value. ok=false sends every other miss to victimSlow. Fills take
+// the lowest free way and only Flush invalidates, so a set's valid ways
+// are a prefix: the set is full when its last way is valid.
+func (c *Cache) victim(set int, ln []uint64) (w int, ok bool) {
+	if t := c.plruVictim; t != nil && ln[len(ln)-1] != 0 {
+		return int(t[c.plru[set]]), true
+	}
+	return 0, false
+}
+
+// fill is the transition on a miss that victim sent to way w: the line
+// takes the way, and the access then touches w. It returns the evicted
+// line's word, 0 when the way was free; its dirty flag says whether the
+// eviction wrote back.
+func (c *Cache) fill(ln []uint64, w int, key uint64, write bool) (old uint64) {
+	c.stats.Misses++
+	old = ln[w]
+	c.stats.Evictions += old & lineValid
+	c.stats.WriteBacks += old >> 1 & lineValid
+	ln[w] = key | c.dirtyOnWrite&-b2u(write)
+	return old
+}
+
+// prefetch fills the line at addr as a load unless it is resident. It
+// reports whether it filled, and the evicted word as fill does.
+func prefetch[W wayCount](c *Cache, addr uint64) (filled bool, old uint64) {
+	set, ln, key := locate[W](c, addr)
+	if probe[W](ln, key) != 0 {
+		return false, 0
+	}
+	w, ok := c.victim(set, ln)
+	if !ok {
+		w = c.victimSlow(set)
+	}
+	old = c.fill(ln, w, key, false)
+	c.touch(set, w)
+	return true, old
 }
 
 // b2u converts a bool to 0 or 1; the compiler lowers it to a flag set, not a
@@ -290,8 +368,8 @@ func b2u(b bool) uint64 {
 // Contains reports whether the line holding addr is present (no side
 // effects; does not update PLRU or stats).
 func (c *Cache) Contains(addr uint64) bool {
-	_, ln, key := c.locate(addr)
-	return probe(ln, key) != 0
+	_, ln, key := locate[anyWays](c, addr)
+	return probe[anyWays](ln, key) != 0
 }
 
 // Flush writes back every dirty line and invalidates the whole cache,
@@ -315,23 +393,23 @@ func (c *Cache) LinesValid() int {
 	return n
 }
 
-// victim picks the way to evict from a full set under the configured
-// replacement policy.
-func (c *Cache) victim(set int) int {
-	if c.plruVictim != nil {
-		return int(c.plruVictim[c.plru[set]])
+// victimSlow returns the way a miss fills when victim cannot: the lowest
+// free way of a set that has one, the way with the oldest recency stamp
+// under TrueLRU, and a root-to-leaf walk of the tree for tree-PLRU above
+// maxVictimTableWays.
+func (c *Cache) victimSlow(set int) int {
+	ln := c.lines[set*c.ways : (set+1)*c.ways]
+	if ln[len(ln)-1] == 0 {
+		w := 0
+		for ln[w] != 0 {
+			w++
+		}
+		return w
 	}
-	return c.victimNoTable(set)
-}
-
-// victimNoTable is victim for TrueLRU, the way with the oldest recency
-// stamp, and for tree-PLRU above maxVictimTableWays.
-func (c *Cache) victimNoTable(set int) int {
 	if c.stamp == nil {
 		return plruWalk(c.plru[set], c.ways)
 	}
-	base := set * c.ways
-	st := c.stamp[base : base+c.ways : base+c.ways]
+	st := c.stamp[set*c.ways : (set+1)*c.ways]
 	v, best := 0, st[0]
 	for w, s := range st {
 		if s < best {

@@ -1,5 +1,10 @@
 package cache
 
+import (
+	"math"
+	"math/bits"
+)
+
 // Hierarchy chains a private L1 in front of an optional private L2, the way
 // each SCC core sees memory. It classifies every access into L1 hit, L2 hit
 // or memory access, and tracks the memory traffic (line fills and dirty
@@ -100,78 +105,157 @@ func (l Level) String() string {
 }
 
 // Access simulates one load or store and returns the level that satisfied it.
+//
+// Access stays out of line: inlined into another package, its one-entry
+// slice escaped to the heap through the generic call below, one
+// allocation per access.
+//
+//go:noinline
 func (h *Hierarchy) Access(addr uint64, write bool) Level {
-	h.events.Accesses++
-	if h.L1.Access(addr, write).Hit {
-		h.events.L1Hits++
-		// The write-through L1 forwards every store below even on a hit.
-		if write {
-			h.storeBelow(addr)
-		}
-		return LevelL1
-	}
-
-	// L1 miss: one access to the level below brings the line in. The
-	// write-through L1 also forwards a store, so the below access is then
-	// a store (the L2 absorbs the dirty data).
-	if h.L2 == nil {
-		h.events.MemAccesses++
-		h.events.MemLineFills++
-		if write {
-			h.events.MemWriteThroughs++
-		}
-		h.prefetch(addr)
-		return LevelMemory
-	}
-	r2 := h.L2.Access(addr, write)
-	if r2.WroteBack {
-		h.events.MemWriteBacks++
-	}
-	if r2.Hit {
-		h.events.L2Hits++
-		return LevelL2
-	}
-	h.events.MemAccesses++
-	h.events.MemLineFills++
-	h.prefetch(addr)
-	return LevelMemory
+	return access(h, []uint64{addr}, write)
 }
 
-// prefetch fills the line after addr into the cache below the L1 (demand
-// misses beyond it still count; the fill itself only adds traffic).
-func (h *Hierarchy) prefetch(addr uint64) {
-	if !h.NextLinePrefetch {
-		return
-	}
-	next := (addr + uint64(h.LineBytes())) &^ uint64(h.LineBytes()-1)
-	target := h.L2
-	if target == nil {
-		target = h.L1
-	}
-	if target.Contains(next) {
-		return
-	}
-	r := target.Access(next, false)
-	if r.WroteBack {
-		h.events.MemWriteBacks++
-	}
-	h.events.MemLineFills++
-	h.events.Prefetches++
+// AccessLines runs a block of accesses in order. Each entry is
+// line<<1 | store, with line counted in LineBytes units: the block has
+// exactly the effect of calling Access(line*LineBytes, store) for each
+// entry.
+func (h *Hierarchy) AccessLines(ops []uint32) {
+	access(h, ops, false)
 }
 
-// storeBelow forwards an L1 write-through hit to the level below,
-// updating memory-traffic accounting.
-func (h *Hierarchy) storeBelow(addr uint64) {
-	if h.L2 == nil {
-		h.events.MemWriteThroughs++
-		return
+// access runs ops through the accessLines instantiation that fixes both
+// way counts at 4 (wayCount) when the hierarchy is the SCC's: a 4-way L1
+// and, if enabled, a 4-way L2. Any other hierarchy runs on the run-time
+// counts.
+func access[E uint32 | uint64](h *Hierarchy, ops []E, store bool) Level {
+	if h.L1.ways == 4 && (h.L2 == nil || h.L2.ways == 4) {
+		return accessLines[[4]struct{}, [4]struct{}](h, ops, store)
 	}
-	r2 := h.L2.Access(addr, true)
-	if !r2.Hit {
-		h.events.MemLineFills++ // write-allocate fill from memory
+	return accessLines[anyWays, anyWays](h, ops, store)
+}
+
+// accessLines is the one access loop of both entry points: Access passes
+// addresses (uint64 entries, every one a store when store is set) and
+// AccessLines line<<1|store entries (uint32). It returns the level that
+// satisfied the last access. Every level step inlines, so the common paths
+// make no call. An entry that reloads the previous entry's line, a fifth
+// of a CSR record, skips the lookup.
+//
+// The write-through L1 forwards every store below, so an L1 store hit is
+// also a store to the level below; an L1 miss is one access to the level
+// below, a store when the access is one. A demand miss that reaches memory
+// triggers the next-line prefetch when it is enabled.
+func accessLines[W1, W2 wayCount, E uint32 | uint64](h *Hierarchy, ops []E, store bool) (lvl Level) {
+	l1, l2, ev := h.L1, h.L2, &h.events
+	shift, nextLine := l1.lineShift&63, h.NextLinePrefetch
+	addresses := uint64(^E(0)) == math.MaxUint64
+	// again is the load entry that re-reads the line the block's previous
+	// access touched. That line is the most recently used way of its L1
+	// set, so the load hits it, and touching it again changes no
+	// replacement decision. The prefetcher fills between accesses, so it
+	// turns the shortcut off. It starts above every uint32 entry, so the
+	// block's first entry never takes the shortcut.
+	again := uint64(math.MaxUint64)
+	for _, op := range ops {
+		if uint64(op) == again && !addresses {
+			ev.Accesses++
+			l1.stats.Hits++
+			ev.L1Hits++
+			lvl = LevelL1
+			continue
+		}
+		if !nextLine {
+			again = uint64(op &^ 1)
+		}
+		addr, write := uint64(op), store
+		if !addresses {
+			addr, write = uint64(op>>1)<<shift, op&1 != 0
+		}
+		ev.Accesses++
+		forward := l1.writeThrough(write)
+		set, ln, key := locate[W1](l1, addr)
+		if hit := probe[W1](ln, key); hit != 0 {
+			w := bits.TrailingZeros64(hit)
+			l1.hit(ln, w, write)
+			l1.touch(set, w)
+			ev.L1Hits++
+			lvl = LevelL1
+			switch {
+			case !forward:
+			case l2 == nil:
+				ev.MemWriteThroughs++
+			default:
+				l2.writeThrough(true)
+				set, ln, key := locate[W2](l2, addr)
+				if hit := probe[W2](ln, key); hit != 0 {
+					w := bits.TrailingZeros64(hit)
+					l2.hit(ln, w, true)
+					l2.touch(set, w)
+					break
+				}
+				ev.MemLineFills++ // write-allocate fill from memory
+				w, ok := l2.victim(set, ln)
+				if !ok {
+					w = l2.victimSlow(set)
+				}
+				ev.MemWriteBacks += l2.fill(ln, w, key, true) >> 1 & lineValid
+				l2.touch(set, w)
+			}
+			continue
+		}
+		w, ok := l1.victim(set, ln)
+		if !ok {
+			w = l1.victimSlow(set)
+		}
+		l1.fill(ln, w, key, write) // a write-through L1 evicts nothing dirty
+		l1.touch(set, w)
+		if l2 != nil {
+			l2.writeThrough(write)
+			set, ln, key := locate[W2](l2, addr)
+			if hit := probe[W2](ln, key); hit != 0 {
+				w := bits.TrailingZeros64(hit)
+				l2.hit(ln, w, write)
+				l2.touch(set, w)
+				ev.L2Hits++
+				lvl = LevelL2
+				continue
+			}
+			w, ok := l2.victim(set, ln)
+			if !ok {
+				w = l2.victimSlow(set)
+			}
+			ev.MemWriteBacks += l2.fill(ln, w, key, write) >> 1 & lineValid
+			l2.touch(set, w)
+		} else if write {
+			ev.MemWriteThroughs++
+		}
+		ev.MemAccesses++
+		ev.MemLineFills++
+		lvl = LevelMemory
+		if nextLine {
+			prefetchAfter[W1, W2](l1, l2, ev, addr)
+		}
 	}
-	if r2.WroteBack {
-		h.events.MemWriteBacks++
+	return lvl
+}
+
+// prefetchAfter fills the line after addr into the cache below the L1, or
+// the L1 itself with the L2 disabled. Demand misses beyond it still count;
+// the fill itself only adds traffic.
+func prefetchAfter[W1, W2 wayCount](l1, l2 *Cache, ev *HierarchyStats, addr uint64) {
+	lineBytes := uint64(l1.cfg.LineBytes)
+	next := (addr + lineBytes) &^ (lineBytes - 1)
+	var filled bool
+	var old uint64
+	if l2 != nil {
+		filled, old = prefetch[W2](l2, next)
+	} else {
+		filled, old = prefetch[W1](l1, next)
+	}
+	if filled {
+		ev.MemWriteBacks += old >> 1 & lineValid
+		ev.MemLineFills++
+		ev.Prefetches++
 	}
 }
 

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"math/rand"
 	"testing"
@@ -393,14 +394,78 @@ func compareLinesValid(t *testing.T, op int, got *Cache, want *refCache) {
 	}
 }
 
-// TestHierarchyDifferentialAgainstReference compares every Level and the
-// HierarchyStats of the SCC hierarchy against the same logic over
-// refCaches, with the L2 on and off and the prefetcher on and off.
+// TestHierarchyDifferentialAgainstReference compares Hierarchy with the
+// same logic over refCaches, with the L2 on and off, the prefetcher on and
+// off, both policies and 1-32 ways. Each configuration runs twice on the
+// same seeded stream: access by access through Access, where every Level
+// must agree, and in blocks of 1-64 accesses through AccessLines. After
+// every access or block the HierarchyStats and both levels' Stats must
+// agree, and at the end both levels' LinesValid.
 func TestHierarchyDifferentialAgainstReference(t *testing.T) {
+	type geom struct {
+		ways, l1Sets int
+		pol          Replacement
+	}
+	// In a one-set L1, a prefetch into the L1 lands in the set of the
+	// line just accessed and displaces it from most recently used.
+	geoms := []geom{{3, 16, TrueLRU}, {6, 16, TrueLRU}, {1, 1, TreePLRU}, {2, 1, TrueLRU}}
+	for _, w := range []int{1, 2, 4, 8, 16, 32} {
+		geoms = append(geoms, geom{w, 16, TreePLRU}, geom{w, 16, TrueLRU})
+	}
 	seed := int64(100)
+	for _, g := range geoms {
+		for _, withL2 := range []bool{true, false} {
+			for _, prefetch := range []bool{false, true} {
+				seed++
+				l1 := Config{SizeBytes: 32 * g.ways * g.l1Sets, LineBytes: 32, Ways: g.ways, Replacement: g.pol}
+				l2 := Config{SizeBytes: 32 * g.ways * 128, LineBytes: 32, Ways: g.ways, WriteBack: true, Replacement: g.pol}
+				name := fmt.Sprintf("%s-%dw-%ds-l2=%v-prefetch=%v", g.pol, g.ways, g.l1Sets, withL2, prefetch)
+				for _, blocks := range []bool{false, true} {
+					t.Run(name+blockSuffix(blocks), func(t *testing.T) {
+						got := NewHierarchy(New(l1), nil)
+						want := &refHierarchy{l1: newRefCache(l1), prefetch: prefetch}
+						if withL2 {
+							got.L2, want.l2 = New(l2), newRefCache(l2)
+						}
+						got.NextLinePrefetch = prefetch
+						// Enough accesses to fill the L2 a dozen times over.
+						diffHierarchy(t, got, want, newDiffStream(seed, l2), blocks, 50000)
+					})
+				}
+			}
+		}
+	}
+	// The SCC hierarchy itself, on the stream and seeds the test used
+	// before it covered other geometries.
+	for i, withL2 := range []bool{true, false} {
+		for j, prefetch := range []bool{false, true} {
+			for _, blocks := range []bool{false, true} {
+				t.Run(fmt.Sprintf("l2=%v-prefetch=%v", withL2, prefetch)+blockSuffix(blocks), func(t *testing.T) {
+					got := NewSCCHierarchy(withL2)
+					got.NextLinePrefetch = prefetch
+					want := &refHierarchy{l1: newRefCache(SCCL1()), prefetch: prefetch}
+					if withL2 {
+						want.l2 = newRefCache(SCCL2())
+					}
+					diffHierarchy(t, got, want, newDiffStream(int64(101+2*i+j), SCCL2()), blocks, 200000)
+				})
+			}
+		}
+	}
+}
+
+// TestAccessLinesTopLineStore starts blocks with the entry 0xFFFFFFFF, a
+// store to the highest line a block entry holds, and mixes it with loads of
+// that line and of others. Every block must match the reference hierarchy
+// run access by access, with the L2 and the prefetcher on and off.
+func TestAccessLinesTopLineStore(t *testing.T) {
+	const top = uint32(math.MaxUint32)
+	blocks := [][]uint32{
+		{top}, {top, top}, {top, top - 1, top}, {top, 6, top, top - 1},
+		{top - 1, top, top}, {8, top}, {top, top - 1, top - 1, 8, top},
+	}
 	for _, withL2 := range []bool{true, false} {
 		for _, prefetch := range []bool{false, true} {
-			seed++
 			t.Run(fmt.Sprintf("l2=%v-prefetch=%v", withL2, prefetch), func(t *testing.T) {
 				got := NewSCCHierarchy(withL2)
 				got.NextLinePrefetch = prefetch
@@ -408,28 +473,90 @@ func TestHierarchyDifferentialAgainstReference(t *testing.T) {
 				if withL2 {
 					want.l2 = newRefCache(SCCL2())
 				}
-				s := newDiffStream(seed, SCCL2())
-				const ops = 200000
-				for i := 0; i < ops; i++ {
-					addr, write := s.addr()
-					if g, w := got.Access(addr, write), want.Access(addr, write); g != w {
-						t.Fatalf("op %d: Access(%#x, %v) = %v, reference %v", i, addr, write, g, w)
-					}
-					switch k := s.rng.Intn(ops); {
-					case k < 3:
-						if g, w := got.Flush(), want.Flush(); g != w {
-							t.Fatalf("op %d: Flush = %d, reference %d", i, g, w)
+				lineBytes := uint64(got.LineBytes())
+				for i := 0; i < 3; i++ {
+					for b, block := range blocks {
+						got.AccessLines(block)
+						for _, op := range block {
+							want.Access(uint64(op>>1)*lineBytes, op&1 != 0)
 						}
-					case k < 6:
-						got.ResetStats()
-						want.ResetStats()
-					}
-					if g, w := got.Stats(), want.events; g != w {
-						t.Fatalf("op %d: Stats = %+v, reference %+v", i, g, w)
+						if g, w := got.Stats(), want.events; g != w {
+							t.Fatalf("round %d block %d: Stats = %+v, reference %+v", i, b, g, w)
+						}
+						if g, w := got.L1.Stats(), want.l1.Stats(); g != w {
+							t.Fatalf("round %d block %d: L1 Stats = %+v, reference %+v", i, b, g, w)
+						}
+						if withL2 {
+							if g, w := got.L2.Stats(), want.l2.Stats(); g != w {
+								t.Fatalf("round %d block %d: L2 Stats = %+v, reference %+v", i, b, g, w)
+							}
+						}
 					}
 				}
 			})
 		}
+	}
+}
+
+// blockSuffix names the AccessLines run of a configuration.
+func blockSuffix(blocks bool) string {
+	if blocks {
+		return "-blocks"
+	}
+	return ""
+}
+
+// diffHierarchy drives got and want with ops accesses of s, through
+// Access or, with blocks set, through AccessLines, with about three
+// flushes and three stats resets between them.
+func diffHierarchy(t *testing.T, got *Hierarchy, want *refHierarchy, s *diffStream, blocks bool, ops int) {
+	t.Helper()
+	lineBytes := uint64(got.LineBytes())
+	var block []uint32
+	for i := 0; i < ops; {
+		if blocks {
+			// A block entry holds a 31-bit line number, so its
+			// address keeps 31 bits above the line offset.
+			block = block[:0]
+			for n := 1 + s.rng.Intn(64); n > 0 && i < ops; n-- {
+				addr, write := s.addr()
+				line := addr / lineBytes & (1<<31 - 1)
+				want.Access(line*lineBytes, write)
+				block = append(block, uint32(line)<<1|uint32(b2u(write)))
+				i++
+			}
+			got.AccessLines(block)
+		} else {
+			addr, write := s.addr()
+			if g, w := got.Access(addr, write), want.Access(addr, write); g != w {
+				t.Fatalf("op %d: Access(%#x, %v) = %v, reference %v", i, addr, write, g, w)
+			}
+			i++
+		}
+		switch k := s.rng.Intn(ops); {
+		case k < 3:
+			if g, w := got.Flush(), want.Flush(); g != w {
+				t.Fatalf("op %d: Flush = %d, reference %d", i, g, w)
+			}
+		case k < 6:
+			got.ResetStats()
+			want.ResetStats()
+		}
+		if g, w := got.Stats(), want.events; g != w {
+			t.Fatalf("op %d: Stats = %+v, reference %+v", i, g, w)
+		}
+		if g, w := got.L1.Stats(), want.l1.Stats(); g != w {
+			t.Fatalf("op %d: L1 Stats = %+v, reference %+v", i, g, w)
+		}
+		if want.l2 != nil {
+			if g, w := got.L2.Stats(), want.l2.Stats(); g != w {
+				t.Fatalf("op %d: L2 Stats = %+v, reference %+v", i, g, w)
+			}
+		}
+	}
+	compareLinesValid(t, ops, got.L1, want.l1)
+	if want.l2 != nil {
+		compareLinesValid(t, ops, got.L2, want.l2)
 	}
 }
 
@@ -488,6 +615,31 @@ func BenchmarkHierarchyAccess(b *testing.B) {
 		v := s[i&(len(s)-1)]
 		benchLevel = h.Access(v&^1, v&1 == 1)
 	}
+}
+
+// BenchmarkHierarchyAccessLines runs BenchmarkHierarchyAccess's stream, in
+// the same order, through the block entry.
+func BenchmarkHierarchyAccessLines(b *testing.B) {
+	ops := lineOps(sccLikeStream(1, 1<<20), SCCL1().LineBytes)
+	h := NewSCCHierarchy(true)
+	h.AccessLines(ops)
+	b.ResetTimer()
+	for done := 0; done < b.N; {
+		i := done & (len(ops) - 1)
+		n := min(b.N-done, len(ops)-i)
+		h.AccessLines(ops[i : i+n])
+		done += n
+	}
+}
+
+// lineOps converts a stream of addresses, bit 0 marking a store, into
+// AccessLines entries.
+func lineOps(s []uint64, lineBytes int) []uint32 {
+	ops := make([]uint32, len(s))
+	for i, v := range s {
+		ops[i] = uint32(v/uint64(lineBytes))<<1 | uint32(v&1)
+	}
+	return ops
 }
 
 var benchResult Result

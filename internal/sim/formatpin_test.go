@@ -12,10 +12,12 @@ import (
 	"repro/internal/sparse"
 )
 
-// formatCase is one storage-format kernel run pinned at the sim level.
+// formatCase is one storage-format kernel run pinned at the sim level:
+// run is the runner, and kernel builds the kernel it drives.
 type formatCase struct {
-	name string
-	run  func(m *Machine) (*Result, error)
+	name   string
+	run    func(m *Machine) (*Result, error)
+	kernel func(m *Machine) kernel
 }
 
 // formatCases covers every format runner, including a cache-blocked case
@@ -43,11 +45,11 @@ func formatCases(t *testing.T) []formatCase {
 		t.Fatalf("cache-blocked case does not qualify: nnz/n %.1f, x %d KB", cb.NNZPerRow(), 8*cb.Cols/1024)
 	}
 	return []formatCase{
-		{"ell", func(m *Machine) (*Result, error) { return m.RunELL(ell, 8) }},
-		{"bcsr", func(m *Machine) (*Result, error) { return m.RunBCSR(bcsr, 6) }},
-		{"dia", func(m *Machine) (*Result, error) { return m.RunDIA(dia, 8) }},
-		{"hyb", func(m *Machine) (*Result, error) { return m.RunHYB(hyb, 6) }},
-		{"cacheblocked", func(m *Machine) (*Result, error) { return m.RunCacheBlocked(cb, 16384, 4) }},
+		{"ell", func(m *Machine) (*Result, error) { return m.RunELL(ell, 8) }, func(m *Machine) kernel { return m.ellKernel(ell, 8) }},
+		{"bcsr", func(m *Machine) (*Result, error) { return m.RunBCSR(bcsr, 6) }, func(m *Machine) kernel { return m.bcsrKernel(bcsr, 6) }},
+		{"dia", func(m *Machine) (*Result, error) { return m.RunDIA(dia, 8) }, func(m *Machine) kernel { return m.diaKernel(dia, 8) }},
+		{"hyb", func(m *Machine) (*Result, error) { return m.RunHYB(hyb, 6) }, func(m *Machine) kernel { return m.hybKernel(hyb, 6) }},
+		{"cacheblocked", func(m *Machine) (*Result, error) { return m.RunCacheBlocked(cb, 16384, 4) }, func(m *Machine) kernel { return m.cacheBlockedKernel(cb, 16384, 4) }},
 	}
 }
 

@@ -155,8 +155,9 @@ type Options struct {
 	// non-nil span never changes any Result.
 	Span *obs.Span
 	// Ctx bounds the run: cancellation stops the engine from starting
-	// further per-UE walks and aborts between a walk's warm-up and timed
-	// passes; the run then returns the context's error and no Result.
+	// further per-UE walks and aborts a walk before its record, its
+	// warm-up replay or its timed replay; the run then returns the
+	// context's error and no Result.
 	// nil means Background (never cancelled), under which results are
 	// bit-identical to the pre-context engine.
 	Ctx context.Context
@@ -220,7 +221,7 @@ func align(v uint64) uint64 { return (v + 63) &^ 63 }
 // cache line; sizes use the paper's element widths (4-byte Ptr/Index,
 // 8-byte values and vectors).
 type layout struct {
-	ptr, index, val, x, y uint64
+	ptr, index, val, x, y, end uint64
 }
 
 func layoutFor(a *sparse.CSR) layout {
@@ -229,6 +230,7 @@ func layoutFor(a *sparse.CSR) layout {
 	l.val = align(l.index + 4*uint64(a.NNZ()))
 	l.x = align(l.val + 8*uint64(a.NNZ()))
 	l.y = align(l.x + 8*uint64(a.Cols))
+	l.end = l.y + 8*uint64(a.Rows)
 	return l
 }
 

@@ -209,7 +209,7 @@ func (p *cellProfile) SizeBytes() int64 {
 // cores but never changes it.
 func profileKey(a *sparse.CSR, opts *Options) string {
 	l1 := cache.SCCL1()
-	return fmt.Sprintf("spmvprof/v1|m=%s|s=%s|u=%d|k=%d|cold=%t|l1=%d:%d:%d|sets=%d-%d|w=%d",
+	return fmt.Sprintf("spmvprof/v2|m=%s|s=%s|u=%d|k=%d|cold=%t|l1=%d:%d:%d|sets=%d-%d|w=%d",
 		a.ContentKey(), opts.Scheme, opts.UEs, opts.Variant, opts.ColdCache,
 		l1.SizeBytes, l1.Ways, l1.LineBytes,
 		profileSetConfig.MinSetsLog2, profileSetConfig.MaxSetsLog2, profileSetConfig.MaxWays)
@@ -221,48 +221,41 @@ func profileKey(a *sparse.CSR, opts *Options) string {
 // misses are demand L2 accesses, write-through store hits are forwarded
 // stores. The SCC L1 is write-through, so it never writes back victims.
 type profileProber struct {
-	l1        *cache.Cache
-	sa        *trace.SetAnalyzer
-	recording bool
+	l1 *cache.Cache
+	sa *trace.SetAnalyzer
 
 	accesses, l1Hits                     uint64
 	demandReads, demandStores, fwdStores uint64
 }
 
-func (p *profileProber) probe(addr uint64, write bool) {
-	if p.recording {
-		p.accesses++
-	}
-	r1 := p.l1.Access(addr, write)
-	line := addr >> lineShift
-	if r1.Hit {
-		if p.recording {
-			p.l1Hits++
-		}
-		if r1.WroteThrough {
-			if p.recording {
-				p.fwdStores++
-			}
-			p.sa.Touch(line, trace.ForwardedStore)
-		}
-		return
-	}
-	if write && r1.WroteThrough {
-		if p.recording {
-			p.demandStores++
-		}
-		p.sa.Touch(line, trace.DemandStore)
-	} else {
-		if p.recording {
-			p.demandReads++
-		}
-		p.sa.Touch(line, trace.DemandRead)
-	}
-}
-
-func (p *profileProber) startPass(timed bool) {
-	p.recording = timed
+// replay runs one recorded pass through the L1 and the analyzer. Counts
+// cover the timed pass only, while L1 and stack state carry over from the
+// warm-up.
+func (p *profileProber) replay(ops []uint32, timed bool) {
 	p.sa.SetRecording(timed)
+	var l1Hits, demandReads, demandStores, fwdStores uint64
+	for _, op := range ops {
+		line, write := uint64(op>>1), op&1 != 0
+		r1 := p.l1.Access(line<<lineShift, write)
+		switch {
+		case r1.Hit && r1.WroteThrough:
+			l1Hits++
+			fwdStores++
+			p.sa.Touch(line, trace.ForwardedStore)
+		case r1.Hit:
+			l1Hits++
+		case r1.WroteThrough:
+			demandStores++
+			p.sa.Touch(line, trace.DemandStore)
+		default:
+			demandReads++
+			p.sa.Touch(line, trace.DemandRead)
+		}
+	}
+	if timed {
+		p.accesses, p.l1Hits = uint64(len(ops)), l1Hits
+		p.demandReads, p.demandStores, p.fwdStores = demandReads, demandStores, fwdStores
+	}
 }
 
 // profile packages the timed pass's counts and arithmetic outcome with the
@@ -329,10 +322,7 @@ var profileFlights sync.Map // string -> *sync.Mutex
 // persistence (every call builds a throwaway profile). The build writes
 // the UE-owned y values into y as a side effect, exactly like the exact
 // walk would.
-func fetchOrBuildProfile(lead *Machine, a *sparse.CSR, x, y []float64,
-	parts [][]int32, opts Options, lay layout) (*cellProfile, error) {
-
-	ctx := opts.ctx()
+func fetchOrBuildProfile(a *sparse.CSR, y []float64, parts [][]int32, opts Options, k *kernel) (*cellProfile, error) {
 	key := profileKey(a, &opts)
 	if opts.Profiles != nil {
 		flight, _ := profileFlights.LoadOrStore(fmt.Sprintf("%p|%s", opts.Profiles, key), &sync.Mutex{})
@@ -341,24 +331,25 @@ func fetchOrBuildProfile(lead *Machine, a *sparse.CSR, x, y []float64,
 		defer mu.Unlock()
 	}
 	if v, ok := opts.Profiles.GetBlob(key); ok {
+		// No walk runs to notice a cancellation, so check here.
+		if err := opts.ctx().Err(); err != nil {
+			return nil, err
+		}
 		profilesReused.Add(1)
 		return v.(*cellProfile), nil
 	}
-	// Each UE runs the exact engine's pass protocol (walkPasses) with the
-	// profiling prober: stack and L1 state warm through the untimed pass,
-	// counts cover the timed pass only.
-	body := func(rank int, pp *profileProber, timed bool) (float64, int) {
-		return runPass(lead, a, x, y, parts[rank], pp, opts, lay, timed)
-	}
+	// Each UE runs the exact engine's walk (walkRank) and replays its
+	// record through the profiling prober: stack and L1 state warm through
+	// the untimed replay, counts cover the timed one only.
 	built := &cellProfile{perUE: make([]ueProfile, opts.UEs)}
-	err := uePool.ForEachCtx(ctx, opts.UEs, opts.workers(), func(rank int) {
+	err := uePool.ForEachCtx(opts.ctx(), opts.UEs, opts.workers(), func(rank int) {
 		pp := &profileProber{l1: cache.New(cache.SCCL1()), sa: trace.NewSetAnalyzer(profileSetConfig)}
-		if compute, nnz, ok := walkPasses(&opts, rank, pp, body); ok {
+		if compute, nnz, ok := walkRank(&opts, k, rank, pp.replay); ok {
 			built.perUE[rank] = pp.profile(compute, nnz, y, parts[rank])
 		}
 	})
 	if err != nil {
-		// Cancelled: walks that stopped at a pass boundary left holes, so
+		// Cancelled: walks that stopped at a boundary left holes, so
 		// nothing is persisted.
 		return nil, err
 	}
@@ -368,21 +359,16 @@ func fetchOrBuildProfile(lead *Machine, a *sparse.CSR, x, y []float64,
 }
 
 // analyticSweep is the fast-path twin of walkExact for CSR runs: fetch or
-// build the cell profile (one L1+profile walk per UE, fanned over the same
-// pool), then price every (machine, UE) pair in O(ways) and replay the
-// recorded y values into the shared scratch. Results land in
-// results[j].PerCore exactly like the exact path's.
-func analyticSweep(machines []*Machine, a *sparse.CSR, x, y []float64,
-	parts [][]int32, opts Options, lay layout, results []*Result) error {
+// build the cell profile (one recorded walk per UE, replayed through the L1
+// and the profiler, fanned over the same pool), then price every (machine,
+// UE) pair in O(ways) and replay the recorded y values into the shared
+// scratch. Results land in results[j].PerCore exactly like the exact
+// path's.
+func analyticSweep(machines []*Machine, a *sparse.CSR, y []float64,
+	parts [][]int32, opts Options, k *kernel, results []*Result) error {
 
-	lead := machines[0]
-	ctx := opts.ctx()
-
-	prof, err := fetchOrBuildProfile(lead, a, x, y, parts, opts, lay)
+	prof, err := fetchOrBuildProfile(a, y, parts, opts, k)
 	if err != nil {
-		return err
-	}
-	if err := ctx.Err(); err != nil {
 		return err
 	}
 

@@ -70,6 +70,10 @@ func RunSpMVSweep(machines []*Machine, a *sparse.CSR, x []float64, opts Options)
 	if err := prepare(machines, &opts); err != nil {
 		return nil, err
 	}
+	lay := layoutFor(a)
+	if err := checkLineRange(lay.end); err != nil {
+		return nil, err
+	}
 	xProvided := x != nil
 	if x == nil {
 		x = ones(a.Cols)
@@ -90,19 +94,10 @@ func RunSpMVSweep(machines []*Machine, a *sparse.CSR, x []float64, opts Options)
 	// not depend on the clock configuration, and each UE owns a disjoint
 	// row block, so concurrent workers never touch the same element.
 	y := make([]float64, a.Rows)
-	lay := layoutFor(a)
-	k := kernel{
-		name: a.Name,
-		y:    y,
-		nnz:  a.NNZ(),
-		rows: func(rank int) int { return len(parts[rank]) },
-		body: func(rank int, pr *hierProber, timed bool) (float64, int) {
-			return runPass(lead, a, x, y, parts[rank], pr, opts, lay, timed)
-		},
-	}
+	k := lead.csrKernel(a, x, y, parts, opts.Variant == KernelNoXMiss, lay)
 	if analytic {
 		k.priced = func(results []*Result) error {
-			return analyticSweep(machines, a, x, y, parts, opts, lay, results)
+			return analyticSweep(machines, a, y, parts, opts, &k, results)
 		}
 	}
 	results, err := drive(machines, opts, k)
@@ -141,16 +136,6 @@ func prepare(machines []*Machine, opts *Options) error {
 	return nil
 }
 
-// A passBody is one storage format's kernel as the per-rank driver sees
-// it: walk rank's share of the matrix once, send every line-crossing
-// access to pr, and return the pass's compute cycles and the entries it
-// processed. timed=false marks the untimed warm-up pass. Its access stream
-// must equal the timed pass's; a body may skip the arithmetic there (CSR
-// does) as long as the timed pass produces every owned y element from
-// scratch. The driver calls a body once per pass; inside it pr has a
-// concrete type, so each per-access probe is a direct call.
-type passBody[P prober] func(rank int, pr P, timed bool) (compute float64, nnz int)
-
 // kernel is one SpMV run as the driver sees it: the format's pass body plus
 // what turns the per-rank walks into Results.
 type kernel struct {
@@ -162,8 +147,17 @@ type kernel struct {
 	nnz int
 	// rows is a rank's CoreResult.Rows.
 	rows func(rank int) int
-	// body is one exact pass over a rank's share.
-	body passBody[*hierProber]
+	// ops bounds the entries rank's pass records, so that its record is
+	// allocated once at that capacity and never regrows.
+	ops func(rank int) int
+	// body is the format's pass over rank's share: it computes the
+	// rank's y rows and records every line-crossing access in rec, and
+	// returns the pass's compute cycles and the entries it processed.
+	body func(rank int, rec *recorder) (compute float64, nnz int)
+	// end is the end of a storage format's layout, which runFormat
+	// checks (checkLineRange); RunSpMVSweep checks CSR's before it
+	// allocates x.
+	end uint64
 	// priced, when set, replaces the exact walks: it fills every Result's
 	// PerCore, and y, from a stream profile (CSR's analytic backend).
 	priced func(results []*Result) error
@@ -206,20 +200,25 @@ func drive(machines []*Machine, opts Options, k kernel) ([]*Result, error) {
 	return results, nil
 }
 
-// walkExact fans the ranks over uePool. Each rank runs k.body on its own
-// cold cache hierarchy, and its timed pass's event counts price every
-// swept machine.
+// walkExact fans the ranks over uePool. Each rank's recorded pass runs
+// through its own cold cache hierarchy, and the timed replay's event counts
+// price every swept machine.
 func walkExact(machines []*Machine, opts Options, k kernel, results []*Result) error {
 	lead := machines[0]
 	cellsExact.Add(1)
 	return uePool.ForEachCtx(opts.ctx(), opts.UEs, opts.workers(), func(rank int) {
 		start := time.Now() //sccvet:allow nondeterminism write-only span instrumentation; never feeds simulated results
-		pr := &hierProber{h: lead.newHierarchy()}
-		compute, nnz, ok := walkPasses(&opts, rank, pr, k.body)
+		h := lead.newHierarchy()
+		compute, nnz, ok := walkRank(&opts, &k, rank, func(ops []uint32, timed bool) {
+			if timed {
+				h.ResetStats()
+			}
+			h.AccessLines(ops)
+		})
 		if !ok {
 			return // cancelled: the pool returns the context's error
 		}
-		stats := pr.h.Stats()
+		stats := h.Stats()
 		for j, mj := range machines {
 			results[j].PerCore[rank] = mj.coreResult(rank, opts.Mapping[rank], k.rows(rank), nnz, compute, stats)
 		}
@@ -227,13 +226,19 @@ func walkExact(machines []*Machine, opts Options, k kernel, results []*Result) e
 	})
 }
 
-// walkPasses runs one rank's pass protocol: an untimed warm-up pass, then
-// the timed pass (only the timed pass under ColdCache). pr.startPass
-// scopes the prober's counters to the timed pass. The run's context is
-// checked at every pass boundary, the cancellation granularity: ok=false
-// means the walk stopped there, and since a context's error is permanent
-// the uePool fan-out around the walk then returns it.
-func walkPasses[P prober](opts *Options, rank int, pr P, body passBody[P]) (compute float64, nnz int, ok bool) {
+// walkRank runs rank's pass body once, recording its line stream, and then
+// hands the record to replay twice: as the untimed warm-up, then as the
+// timed pass (the timed pass alone under ColdCache). The record is dropped
+// when the walk returns. The run's context is checked before the record
+// and before each replay, the cancellation granularity: ok=false means the
+// walk stopped there, and since a context's error is permanent the uePool
+// fan-out around the walk then returns it.
+func walkRank(opts *Options, k *kernel, rank int, replay func(ops []uint32, timed bool)) (compute float64, nnz int, ok bool) {
+	if opts.ctx().Err() != nil {
+		return 0, 0, false
+	}
+	rec := recorder{ops: make([]uint32, 0, k.ops(rank))}
+	compute, nnz = k.body(rank, &rec)
 	passes := 2
 	if opts.ColdCache {
 		passes = 1
@@ -242,9 +247,7 @@ func walkPasses[P prober](opts *Options, rank int, pr P, body passBody[P]) (comp
 		if opts.ctx().Err() != nil {
 			return 0, 0, false
 		}
-		timed := pass == passes-1
-		pr.startPass(timed)
-		compute, nnz = body(rank, pr, timed)
+		replay(rec.ops, pass == passes-1)
 	}
 	return compute, nnz, true
 }
@@ -326,49 +329,64 @@ func (s *stream) crossing(addr uint64) bool {
 	return true
 }
 
-// prober receives every line-crossing access of a pass: the exact engine
-// plugs in the full cache hierarchy (hierProber), the analytic engine the
-// L1 + multi-geometry profiler (profileProber, pricing.go). runPass is
-// generic over it, but both implementations are pointers and so share one
-// GC-shape instantiation: every probe is an indirect call through the
-// generics dictionary, like an interface call. That call is cheap next to
-// the cache walk behind it.
-type prober interface {
-	probe(addr uint64, write bool)
-	// startPass begins a pass: counters cover the timed pass only, while
-	// cache and stack state carry over from the warm-up.
-	startPass(timed bool)
+// recorder collects one rank's pass as a line stream: each line-crossing
+// access is one entry line<<1 | store, the form cache.Hierarchy.AccessLines
+// takes. checkLineRange keeps every line below 2^31, so entries never wrap.
+type recorder struct {
+	ops []uint32
 }
 
-// hierProber drives one core's exact cache hierarchy. Stall cycles are not
-// accumulated per access: they follow from the timed pass's event counts
-// in closed form (coreResult), which is what lets the analytic backend
-// reproduce them bit-for-bit.
-type hierProber struct {
-	h *cache.Hierarchy
+func (r *recorder) probe(addr uint64, write bool) {
+	op := uint32(addr>>lineShift) << 1
+	if write {
+		op |= 1
+	}
+	r.ops = append(r.ops, op)
 }
 
-func (p *hierProber) probe(addr uint64, write bool) {
-	p.h.Access(addr, write)
+// maxLayoutEnd bounds every kernel's layout: a record entry holds a line
+// number in 31 bits, so the layout must end within 2^31 lines (64 GiB).
+const maxLayoutEnd = uint64(1) << (31 + lineShift)
+
+// checkLineRange rejects a layout ending past maxLayoutEnd, whose line
+// numbers would wrap in the record.
+func checkLineRange(end uint64) error {
+	if end > maxLayoutEnd {
+		return fmt.Errorf("sim: layout ends at byte %d, past the %d GiB a recorded line stream addresses", end, maxLayoutEnd>>30)
+	}
+	return nil
 }
 
-func (p *hierProber) startPass(timed bool) {
-	if timed {
-		p.h.ResetStats()
+// csrKernel is the CSR kernel over parts: the standard variant, or with
+// noX the no-x-miss variant that reads x[0] for every nonzero.
+func (m *Machine) csrKernel(a *sparse.CSR, x, y []float64, parts [][]int32, noX bool, lay layout) kernel {
+	return kernel{
+		name: a.Name,
+		y:    y,
+		nnz:  a.NNZ(),
+		rows: func(rank int) int { return len(parts[rank]) },
+		ops: func(rank int) int {
+			nnz := 0
+			for _, i := range parts[rank] {
+				nnz += int(a.Ptr[i+1] - a.Ptr[i])
+			}
+			return csrOps(nnz, len(parts[rank]))
+		},
+		body: func(rank int, rec *recorder) (float64, int) {
+			return csrPass(m, a, x, y, parts[rank], rec, noX, lay)
+		},
 	}
 }
 
-// runPass walks the rows once, returning (compute cycles, nnz); every
-// line-crossing access goes to pr. storeY=false is the untimed warm-up:
-// the access stream (and therefore cache behaviour) is unchanged, but the
-// arithmetic and the y store are skipped - the timed pass recomputes every
-// owned y element from scratch, so the final values cannot differ. The
-// generic prober keeps the exact and profiling engines on ONE walk: any
-// divergence in the probe stream would break their proven agreement.
-func runPass[P prober](m *Machine, a *sparse.CSR, x, y []float64, rows []int32,
-	pr P, opts Options, lay layout, storeY bool) (compute float64, nnz int) {
+// csrOps bounds the record of a CSR pass over rows row walks that visit nnz
+// entries. ptr and y cross at most once per row walk and x is probed once
+// per entry; a row walk's k index entries (4 B, 8 to a line) span at most
+// k/8+2 lines, and its k values (8 B) at most k/4+2.
+func csrOps(nnz, rows int) int { return nnz + nnz/8 + nnz/4 + 6*rows }
 
-	noX := opts.Variant == KernelNoXMiss
+// csrPass walks the rows once, computing their y and recording every
+// line-crossing access, and returns (compute cycles, nnz).
+func csrPass(m *Machine, a *sparse.CSR, x, y []float64, rows []int32, rec *recorder, noX bool, lay layout) (compute float64, nnz int) {
 	var ptrS, idxS, valS, yS stream
 
 	// Hoist loop invariants: layout bases, CSR arrays and cycle prices.
@@ -385,36 +403,30 @@ func runPass[P prober](m *Machine, a *sparse.CSR, x, y []float64, rows []int32,
 		i := int(ri)
 		compute += rowOverhead
 		if addr := layPtr + 4*uint64(i); ptrS.crossing(addr) {
-			pr.probe(addr, false)
+			rec.probe(addr, false)
 		}
 		var t float64
 		for k := aPtr[i]; k < aPtr[i+1]; k++ {
 			if addr := layIdx + 4*uint64(k); idxS.crossing(addr) {
-				pr.probe(addr, false)
+				rec.probe(addr, false)
 			}
 			if addr := layVal + 8*uint64(k); valS.crossing(addr) {
-				pr.probe(addr, false)
+				rec.probe(addr, false)
 			}
 			if noX {
-				pr.probe(layX, false)
-				if storeY {
-					t += aVal[k] * x0
-				}
+				rec.probe(layX, false)
+				t += aVal[k] * x0
 			} else {
 				j := aIdx[k]
-				pr.probe(layX+8*uint64(j), false)
-				if storeY {
-					t += aVal[k] * x[j]
-				}
+				rec.probe(layX+8*uint64(j), false)
+				t += aVal[k] * x[j]
 			}
 			compute += nnzCompute
 			nnz++
 		}
-		if storeY {
-			y[i] = t
-		}
+		y[i] = t
 		if addr := layY + 8*uint64(i); yS.crossing(addr) {
-			pr.probe(addr, true)
+			rec.probe(addr, true)
 		}
 	}
 	return compute, nnz

@@ -83,10 +83,14 @@ func Generate(g Gen) *CSR {
 		panic(fmt.Sprintf("sparse: unknown pattern class %q", g.Class))
 	}
 	m.Name = g.Name
-	// The builders reserve room for the nnz target; hand back arrays of
-	// exactly their length, since the matrix cache budgets by SizeBytes.
-	m.Index = slices.Clip(slices.Clone(m.Index))
-	m.Val = slices.Clip(slices.Clone(m.Val))
+	// The matrix cache budgets by SizeBytes, so hand back arrays of
+	// exactly their length. A stencil builder reserves its exact count; the
+	// other classes reserve a bound, and their arrays are copied down.
+	if cap(m.Index) != len(m.Index) {
+		m.Index = slices.Clone(m.Index)
+		m.Val = slices.Clone(m.Val)
+	}
+	m.Index, m.Val = slices.Clip(m.Index), slices.Clip(m.Val)
 	return m
 }
 
@@ -204,7 +208,7 @@ func genStencil2D(g Gen, rng *rand.Rand) *CSR {
 	want := float64(g.NNZTarget) / float64(n) // target row length
 	// Ring radius r gives roughly 1 + 4r points (von Neumann ring sum).
 	radius := int(math.Max(1, math.Round((want-1)/4)))
-	b := newRowBuilder(n, g.NNZTarget+n, rng)
+	b := newRowBuilder(n, stencilNNZ(n, side, radius, false), rng)
 	for i := 0; i < n; i++ {
 		x := i % side
 		b.add(i)
@@ -223,6 +227,27 @@ func genStencil2D(g Gen, rng *rand.Rand) *CSR {
 	return b.m
 }
 
+// stencilNNZ is the exact entry count of genStencil2D's grid (genStencil3D's
+// with threeD) for n rows of side columns and the given radius. A row holds
+// its diagonal and its in-range neighbours: i±r within its grid row, i±r·side
+// and, in 3D, i±r·side². No in-row neighbour lands on another's column, but
+// in 3D the plane neighbour i±k·side² is also the column neighbour at
+// distance k·side when k·side <= radius, and counts once.
+func stencilNNZ(n, side, radius int, threeD bool) int {
+	total := 0
+	for i := 0; i < n; i++ {
+		x := i % side
+		row := 1 + min(radius, x) + min(radius, side-1-x, n-1-i) + min(radius, i/side) + min(radius, (n-1-i)/side)
+		if threeD {
+			plane := side * side
+			down, up := min(radius, i/plane), min(radius, (n-1-i)/plane)
+			row += down + up - min(down, radius/side) - min(up, radius/side)
+		}
+		total += row
+	}
+	return total
+}
+
 // genStencil3D lays the rows of a cbrt(N)^3 grid with a cross stencil in
 // three dimensions, widened to meet the nnz target.
 func genStencil3D(g Gen, rng *rand.Rand) *CSR {
@@ -234,7 +259,7 @@ func genStencil3D(g Gen, rng *rand.Rand) *CSR {
 	n := g.N
 	want := float64(g.NNZTarget) / float64(n)
 	radius := int(math.Max(1, math.Round((want-1)/6)))
-	b := newRowBuilder(n, g.NNZTarget+n, rng)
+	b := newRowBuilder(n, stencilNNZ(n, side, radius, true), rng)
 	for i := 0; i < n; i++ {
 		x := i % side
 		b.add(i)
@@ -269,7 +294,7 @@ func genBanded(g Gen, rng *rand.Rand) *CSR {
 	if perRow < 1 {
 		perRow = 1
 	}
-	b := newRowBuilder(n, g.NNZTarget+n, rng)
+	b := newRowBuilder(n, n*perRow, rng) // perRow columns a row, before duplicates
 	for i := 0; i < n; i++ {
 		b.add(i)
 		lo, hi := i-bw, i+bw
@@ -295,7 +320,7 @@ func genRandom(g Gen, rng *rand.Rand) *CSR {
 	if perRow < 1 {
 		perRow = 1
 	}
-	b := newRowBuilder(n, g.NNZTarget+n, rng)
+	b := newRowBuilder(n, n*perRow, rng) // perRow columns a row, before duplicates
 	for i := 0; i < n; i++ {
 		b.add(i)
 		for k := 0; k < perRow-1; k++ {
@@ -318,6 +343,8 @@ func genPowerLaw(g Gen, rng *rand.Rand) *CSR {
 	if xm < 1 {
 		xm = 1
 	}
+	// Row lengths are drawn as the rows are built, so no bound is known up
+	// front: reserve the target, and let a longer draw grow the arrays.
 	b := newRowBuilder(n, g.NNZTarget+n, rng)
 	for i := 0; i < n; i++ {
 		u := rng.Float64()
@@ -359,7 +386,9 @@ func genBlock(g Gen, rng *rand.Rand) *CSR {
 	}
 	coupling := g.NNZTarget / 10
 	perRowCoupling := coupling / n
-	b := newRowBuilder(n, g.NNZTarget+n, rng)
+	// A row draws at most its block's columns and its coupling columns;
+	// a sparse block fill stays near the target.
+	b := newRowBuilder(n, min(n*(bs+perRowCoupling), g.NNZTarget+n), rng)
 	for i := 0; i < n; i++ {
 		blk := i / bs
 		lo := blk * bs

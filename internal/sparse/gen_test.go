@@ -133,3 +133,28 @@ func TestGenerateTinySizes(t *testing.T) {
 		}
 	}
 }
+
+// TestStencilReservationExact checks that every stencil matrix of the
+// testbed, at three scales, reserves exactly the entries it ends up with,
+// so Generate hands its arrays back without a copy.
+func TestStencilReservationExact(t *testing.T) {
+	for _, scale := range []float64{0.05, 0.1, 0.25} {
+		for _, e := range Testbed() {
+			threeD := e.Class == PatternStencil3D
+			if e.Class != PatternStencil2D && !threeD {
+				continue
+			}
+			// GenerateScaled's dimensions, then the builder's grid.
+			n := int(math.Max(64, math.Round(float64(e.N)*scale)))
+			nnz := math.Max(float64(n), math.Round(float64(e.NNZ)*scale))
+			side, ring := int(math.Round(math.Sqrt(float64(n)))), 4.0
+			if threeD {
+				side, ring = int(math.Round(math.Cbrt(float64(n)))), 6
+			}
+			radius := int(math.Max(1, math.Round((nnz/float64(n)-1)/ring)))
+			if got, want := stencilNNZ(n, max(side, 1), radius, threeD), e.GenerateScaled(scale).NNZ(); got != want {
+				t.Errorf("%s at scale %v: stencilNNZ %d, generated %d entries", e.Name, scale, got, want)
+			}
+		}
+	}
+}

@@ -65,14 +65,14 @@ func (m *CSR) SizeBytes() int64 {
 	return 4*int64(len(m.Ptr)) + 4*int64(len(m.Index)) + 8*int64(len(m.Val))
 }
 
-// ContentKey returns a content-addressed identity of the matrix: an
-// FNV-1a hash over the dimensions and the Ptr/Index/Val arrays, rendered
-// as a fixed-width hex string. Two structurally identical matrices share a
-// key regardless of Name; any pattern or value difference changes it. It
-// is the cache key the analytic-pricing profile store (internal/sim) uses
-// to bind persisted stream profiles to exact matrix content. The first
-// call hashes the arrays; later calls return the memoised key, relying on
-// the convention that a CSR is immutable once handed out.
+// ContentKey returns a content-addressed identity of the matrix: a 64-bit
+// hash over the dimensions and the Ptr/Index/Val arrays, rendered as a
+// fixed-width hex string. Two structurally identical matrices share a key
+// regardless of Name; any pattern or value difference changes it. It is
+// the cache key the analytic-pricing profile store (internal/sim) uses to
+// bind persisted stream profiles to exact matrix content. The first call
+// hashes the arrays; later calls return the memoised key, relying on the
+// convention that a CSR is immutable once handed out.
 func (m *CSR) ContentKey() string {
 	if k := m.contentKey.Load(); k != nil {
 		return *k
@@ -82,32 +82,41 @@ func (m *CSR) ContentKey() string {
 	return k
 }
 
+// hashContent hashes the matrix a 64-bit word at a time, two int32 entries
+// to a word. Every step is a bijection of the state for a fixed word and of
+// the word for a fixed state, so changing any one word of the input always
+// changes the key.
 func (m *CSR) hashContent() string {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= v & 0xff
-			h *= prime64
-			v >>= 8
-		}
+	h := uint64(14695981039346656037) // FNV-1a's offset basis
+	for _, v := range []int{m.Rows, m.Cols, len(m.Ptr), len(m.Index), len(m.Val)} {
+		h = mixWord(h, uint64(v))
 	}
-	mix(uint64(m.Rows))
-	mix(uint64(m.Cols))
-	mix(uint64(m.NNZ()))
-	for _, p := range m.Ptr {
-		mix(uint64(uint32(p)))
-	}
-	for _, ix := range m.Index {
-		mix(uint64(uint32(ix)))
-	}
+	h = mixInt32s(h, m.Ptr)
+	h = mixInt32s(h, m.Index)
 	for _, v := range m.Val {
-		mix(math.Float64bits(v))
+		h = mixWord(h, math.Float64bits(v))
 	}
 	return fmt.Sprintf("%016x", h)
+}
+
+// mixWord folds v into h: xor, a multiply by an odd constant, and an xor
+// of the high half into the low half, so every bit of v reaches the low
+// bits of the later state.
+func mixWord(h, v uint64) uint64 {
+	h = (h ^ v) * 0x9e3779b97f4a7c15
+	return h ^ h>>32
+}
+
+// mixInt32s folds s into h two entries to a word.
+func mixInt32s(h uint64, s []int32) uint64 {
+	for len(s) >= 2 {
+		h = mixWord(h, uint64(uint32(s[0]))|uint64(uint32(s[1]))<<32)
+		s = s[2:]
+	}
+	if len(s) == 1 {
+		h = mixWord(h, uint64(uint32(s[0])))
+	}
+	return h
 }
 
 // WorkingSetBytes returns the SpMV working set in bytes exactly as the paper

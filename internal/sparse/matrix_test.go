@@ -1,7 +1,9 @@
 package sparse
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -321,4 +323,59 @@ func TestLaplacian2DProperties(t *testing.T) {
 	if m.At(0, 0) != 4 || m.At(0, 1) != -1 {
 		t.Fatal("unexpected Laplacian coefficients")
 	}
+}
+
+// cloneCSR copies m's dimensions and arrays into a fresh CSR named name.
+func cloneCSR(m *CSR, name string) *CSR {
+	return &CSR{Name: name, Rows: m.Rows, Cols: m.Cols,
+		Ptr: slices.Clone(m.Ptr), Index: slices.Clone(m.Index), Val: slices.Clone(m.Val)}
+}
+
+func TestContentKeyStableAndNameBlind(t *testing.T) {
+	m := Generate(Gen{Name: "key", Class: PatternBanded, N: 300, NNZTarget: 3000, Seed: 7})
+	k := m.ContentKey()
+	if len(k) != 16 {
+		t.Fatalf("key %q is not 16 hex digits", k)
+	}
+	if again := m.ContentKey(); again != k {
+		t.Errorf("second call returned %s, first %s", again, k)
+	}
+	if c := cloneCSR(m, m.Name); c.ContentKey() != k {
+		t.Errorf("a clone's key %s differs from %s", c.ContentKey(), k)
+	}
+	if c := cloneCSR(m, "renamed"); c.ContentKey() != k {
+		t.Errorf("renaming changed the key: %s vs %s", c.ContentKey(), k)
+	}
+}
+
+func TestContentKeySeesEveryElement(t *testing.T) {
+	base := Generate(Gen{Name: "key", Class: PatternBanded, N: 300, NNZTarget: 3000, Seed: 7})
+	base.Val[5] = 0 // a literal zero, so its sign bit can flip alone
+	k := base.ContentKey()
+	seen := map[string]string{k: "base"}
+	changed := func(what string, edit func(c *CSR)) {
+		t.Helper()
+		c := cloneCSR(base, base.Name)
+		edit(c)
+		got := c.ContentKey()
+		if prev, dup := seen[got]; dup {
+			t.Errorf("%s: key %s equals %s's", what, got, prev)
+		}
+		seen[got] = what
+	}
+	changed("rows", func(c *CSR) { c.Rows++ })
+	changed("cols", func(c *CSR) { c.Cols++ })
+	for i := range base.Ptr {
+		changed(fmt.Sprintf("Ptr[%d]", i), func(c *CSR) { c.Ptr[i]++ })
+	}
+	for i := range base.Index {
+		changed(fmt.Sprintf("Index[%d]", i), func(c *CSR) { c.Index[i] ^= 1 })
+	}
+	for i := range base.Val {
+		changed(fmt.Sprintf("Val[%d] sign", i), func(c *CSR) { c.Val[i] = -c.Val[i] })
+		changed(fmt.Sprintf("Val[%d] low bit", i), func(c *CSR) {
+			c.Val[i] = math.Float64frombits(math.Float64bits(c.Val[i]) ^ 1)
+		})
+	}
+	changed("Val[5] to one", func(c *CSR) { c.Val[5] = 1 })
 }
