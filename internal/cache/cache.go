@@ -9,6 +9,7 @@ package cache
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 )
 
 // Replacement selects the victim-selection policy of a cache level.
@@ -151,6 +152,7 @@ type Cache struct {
 	plru         []uint32 // one tree per set (TreePLRU only)
 	plruTouch    []uint64 // plruTouches for this associativity
 	plruVictim   []uint8  // plruVictims for this associativity, or nil
+	plruRelative []uint8  // plruRelatives for this associativity, or nil
 	stamp        []uint64 // per-line recency stamps (TrueLRU only)
 	tick         uint64   // monotonic access clock (TrueLRU only)
 	stats        Stats
@@ -183,6 +185,7 @@ func New(cfg Config) *Cache {
 		c.plru = make([]uint32, sets)
 		c.plruTouch = plruTouches[depth]
 		c.plruVictim = plruVictims[depth]
+		c.plruRelative = plruRelatives[depth]
 	}
 	return c
 }
@@ -384,6 +387,72 @@ func (c *Cache) Flush() (writeBacks int) {
 	return writeBacks
 }
 
+// A set's packed state is one uint32 per way. A set that is not full is
+// packed in way order, with its tree in the free last way (tree<<1, so the
+// valid flag reads clear). A full tree-PLRU set is packed in tree-relative
+// order: way w goes to w XOR the tree bits on w's path (plruPath), so the
+// victim's word comes first and the most recently used way's last. Two full
+// sets pack alike exactly when they hold the same words and one is the
+// other under a tree automorphism, a swap of the subtrees below some nodes.
+// Victim selection and touch commute with those automorphisms, and a full
+// set stays full, so two such sets answer every later access alike. Two
+// sets that are not full pack alike only when they are identical: they
+// fill their free ways by way order, not by the tree. Packing keeps a line
+// word whole only below 2^32.
+
+// packSet writes set's packed state into out, which holds c.ways words.
+// The cache must be tree-PLRU of at most maxVictimTableWays ways.
+func (c *Cache) packSet(set int, out []uint32) {
+	ln := c.lines[set*c.ways : (set+1)*c.ways]
+	tree := c.plru[set]
+	if ln[len(ln)-1] == 0 {
+		for w, v := range ln {
+			out[w] = uint32(v)
+		}
+		out[len(out)-1] = tree << 1
+		return
+	}
+	rel := c.plruRelative[int(tree)*len(ln):]
+	for w, v := range ln {
+		out[rel[w]] = uint32(v)
+	}
+}
+
+// appendState appends the packed state of every set, in set order.
+func (c *Cache) appendState(dst []uint32) []uint32 {
+	n := len(dst)
+	dst = slices.Grow(dst, len(c.lines))[:n+len(c.lines)]
+	for set := 0; set <= c.setMask; set++ {
+		c.packSet(set, dst[n+set*c.ways:n+(set+1)*c.ways])
+	}
+	return dst
+}
+
+// matchState reports whether every set packs as in state, an appendState
+// of a cache of this geometry.
+func (c *Cache) matchState(state []uint32) bool {
+	var buf [maxPLRUWays]uint32
+	got := buf[:c.ways]
+	for set := 0; set <= c.setMask; set++ {
+		c.packSet(set, got)
+		if !slices.Equal(got, state[set*c.ways:(set+1)*c.ways]) {
+			return false
+		}
+	}
+	return true
+}
+
+// plruPath returns the tree bits on the path from the root to way w, the
+// root's the highest.
+func plruPath(tree uint32, w, ways int) int {
+	path, node := 0, 0
+	for half := ways >> 1; half > 0; half >>= 1 {
+		path = path<<1 | int(tree>>uint(node)&1)
+		node = 2*node + 1 + int(b2u(w&half != 0))
+	}
+	return path
+}
+
 // LinesValid returns the number of currently valid lines (test/debug aid).
 func (c *Cache) LinesValid() int {
 	n := 0
@@ -439,14 +508,15 @@ func (c *Cache) touch(set, w int) {
 // way w (high half) over those of them a touch of w sets (low half), so
 // that a touch points every node on the path away from w. plruVictims
 // [log2(ways)] maps each tree value to the way plruWalk reaches, for
-// associativities up to maxVictimTableWays. Every cache of one
-// associativity shares them.
-var plruTouches, plruVictims = newPLRUTables()
+// associativities up to maxVictimTableWays, and plruRelatives[log2(ways)]
+// maps tree<<log2(ways) | w to way w's tree-relative index (plruPath) for
+// the same associativities. Every cache of one associativity shares them.
+var plruTouches, plruVictims, plruRelatives = newPLRUTables()
 
 // maxVictimTableWays bounds a victim table at 128 entries (a 7-node tree).
 const maxVictimTableWays = 8
 
-func newPLRUTables() (touches [maxPLRUDepth + 1][]uint64, victims [maxPLRUDepth + 1][]uint8) {
+func newPLRUTables() (touches [maxPLRUDepth + 1][]uint64, victims, relatives [maxPLRUDepth + 1][]uint8) {
 	for depth := range touches {
 		ways := 1 << depth
 		touches[depth] = make([]uint64, ways)
@@ -460,12 +530,16 @@ func newPLRUTables() (touches [maxPLRUDepth + 1][]uint64, victims [maxPLRUDepth 
 		}
 		if ways <= maxVictimTableWays {
 			victims[depth] = make([]uint8, 1<<(ways-1))
+			relatives[depth] = make([]uint8, 0, ways<<(ways-1))
 			for tree := range victims[depth] {
 				victims[depth][tree] = uint8(plruWalk(uint32(tree), ways))
+				for w := 0; w < ways; w++ {
+					relatives[depth] = append(relatives[depth], uint8(w^plruPath(uint32(tree), w, ways)))
+				}
 			}
 		}
 	}
-	return touches, victims
+	return touches, victims, relatives
 }
 
 // plruWalk follows a tree's bits from the root down to a leaf way.

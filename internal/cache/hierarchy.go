@@ -23,6 +23,8 @@ type Hierarchy struct {
 	NextLinePrefetch bool
 
 	events HierarchyStats
+	// lap holds what WarmUpLines captured for the TimedLines after it.
+	lap lapCapture
 }
 
 // HierarchyStats aggregates the outcome of every access.
@@ -112,7 +114,8 @@ func (l Level) String() string {
 //
 //go:noinline
 func (h *Hierarchy) Access(addr uint64, write bool) Level {
-	return access(h, []uint64{addr}, write)
+	h.lap.ops = nil
+	return access[plainLap](h, []uint64{addr}, write, 0)
 }
 
 // AccessLines runs a block of accesses in order. Each entry is
@@ -120,104 +123,140 @@ func (h *Hierarchy) Access(addr uint64, write bool) Level {
 // exactly the effect of calling Access(line*LineBytes, store) for each
 // entry.
 func (h *Hierarchy) AccessLines(ops []uint32) {
-	access(h, ops, false)
+	h.lap.ops = nil
+	access[plainLap](h, ops, false, 0)
+}
+
+// HitMRU counts n loads that each re-read the line of its L1 set's
+// previous access. Such a load hits the set's most recently used way, and
+// touching that way again changes no replacement state; the write-through
+// L1 sends nothing below on a load hit. So each of them is an L1 hit that
+// changes nothing but the counters, wherever it falls in a block, unless
+// the prefetcher can fill the L1 (NextLinePrefetch with the L2 disabled)
+// between the two accesses.
+func (h *Hierarchy) HitMRU(n uint64) {
+	h.events.Accesses += n
+	h.events.L1Hits += n
+	h.L1.stats.Hits += n
 }
 
 // access runs ops through the accessLines instantiation that fixes both
 // way counts at 4 (wayCount) when the hierarchy is the SCC's: a 4-way L1
 // and, if enabled, a 4-way L2. Any other hierarchy runs on the run-time
 // counts.
-func access[E uint32 | uint64](h *Hierarchy, ops []E, store bool) Level {
+func access[M lapMode, E uint32 | uint64](h *Hierarchy, ops []E, store bool, from int) Level {
 	if h.L1.ways == 4 && (h.L2 == nil || h.L2.ways == 4) {
-		return accessLines[[4]struct{}, [4]struct{}](h, ops, store)
+		return accessLines[[4]struct{}, [4]struct{}, M](h, ops, store, from)
 	}
-	return accessLines[anyWays, anyWays](h, ops, store)
+	return accessLines[anyWays, anyWays, M](h, ops, store, from)
 }
 
-// accessLines is the one access loop of both entry points: Access passes
-// addresses (uint64 entries, every one a store when store is set) and
-// AccessLines line<<1|store entries (uint32). It returns the level that
-// satisfied the last access. Every level step inlines, so the common paths
-// make no call. An entry that reloads the previous entry's line, a fifth
-// of a CSR record, skips the lookup.
+// lapMode selects what accessLines runs: plainLap runs each entry through
+// both levels; warmLap does the same and also marks each entry that
+// reaches below the L1 (WarmUpLines); tailLap runs only marked entries,
+// and only below the L1 (TimedLines). Like wayCount, each is an array type
+// of its own GC shape, so every mode compiles on its own and a plain lap
+// pays nothing for the others.
+type lapMode interface {
+	plainLap | warmLap | tailLap
+}
+
+type (
+	plainLap = [0]struct{}
+	warmLap  = [1]struct{}
+	tailLap  = [2]struct{}
+)
+
+// accessLines is the one access loop: Access passes addresses (uint64
+// entries, every one a store when store is set) and the line-entry methods
+// line<<1|store entries (uint32). It returns the level that satisfied the
+// last access. Every level step inlines, so the common paths make no call.
 //
 // The write-through L1 forwards every store below, so an L1 store hit is
-// also a store to the level below; an L1 miss is one access to the level
-// below, a store when the access is one. A demand miss that reaches memory
-// triggers the next-line prefetch when it is enabled.
-func accessLines[W1, W2 wayCount, E uint32 | uint64](h *Hierarchy, ops []E, store bool) (lvl Level) {
+// also a store to the level below; an L1 miss is a demand access to the
+// level below, a store when the access is one. A demand miss that reaches
+// memory triggers the next-line prefetch when it is enabled.
+//
+// Under warmLap, ops is a block of the captured record that starts at
+// entry from, and each entry that reaches below the L1 sets its bit in
+// h.lap.reached, and also in h.lap.forwarded when it is a store hit. Under
+// tailLap, ops is the whole record and the loop runs the entries h.lap.tail
+// lists instead, as index<<1 | demand: each counts its L1 miss and
+// write-through and takes the transition below the L1 again, while the L1
+// itself is left alone.
+func accessLines[W1, W2 wayCount, M lapMode, E uint32 | uint64](h *Hierarchy, ops []E, store bool, from int) (lvl Level) {
+	var mode M
 	l1, l2, ev := h.L1, h.L2, &h.events
 	shift, nextLine := l1.lineShift&63, h.NextLinePrefetch
 	addresses := uint64(^E(0)) == math.MaxUint64
-	// again is the load entry that re-reads the line the block's previous
-	// access touched. That line is the most recently used way of its L1
-	// set, so the load hits it, and touching it again changes no
-	// replacement decision. The prefetcher fills between accesses, so it
-	// turns the shortcut off. It starts above every uint32 entry, so the
-	// block's first entry never takes the shortcut.
-	again := uint64(math.MaxUint64)
-	for _, op := range ops {
-		if uint64(op) == again && !addresses {
-			ev.Accesses++
-			l1.stats.Hits++
-			ev.L1Hits++
-			lvl = LevelL1
-			continue
-		}
-		if !nextLine {
-			again = uint64(op &^ 1)
+	n, tail := len(ops), h.lap.tail
+	reached, forwarded := h.lap.reached, h.lap.forwarded
+	if len(mode) == len(tailLap{}) {
+		n = len(tail)
+	}
+	for i := 0; i < n; i++ {
+		var op E
+		demand := true
+		if len(mode) == len(tailLap{}) {
+			c := tail[i]
+			op, demand = ops[c>>1], c&1 != 0
+		} else {
+			op = ops[i]
 		}
 		addr, write := uint64(op), store
 		if !addresses {
 			addr, write = uint64(op>>1)<<shift, op&1 != 0
 		}
-		ev.Accesses++
-		forward := l1.writeThrough(write)
-		set, ln, key := locate[W1](l1, addr)
-		if hit := probe[W1](ln, key); hit != 0 {
-			w := bits.TrailingZeros64(hit)
-			l1.hit(ln, w, write)
-			l1.touch(set, w)
-			ev.L1Hits++
-			lvl = LevelL1
-			switch {
-			case !forward:
-			case l2 == nil:
-				ev.MemWriteThroughs++
-			default:
-				l2.writeThrough(true)
-				set, ln, key := locate[W2](l2, addr)
-				if hit := probe[W2](ln, key); hit != 0 {
-					w := bits.TrailingZeros64(hit)
-					l2.hit(ln, w, true)
-					l2.touch(set, w)
-					break
+		if len(mode) == len(tailLap{}) {
+			l1.writeThrough(write)
+			l1.stats.Misses += b2u(demand)
+		} else {
+			ev.Accesses++
+			forward := l1.writeThrough(write)
+			set, ln, key := locate[W1](l1, addr)
+			if hit := probe[W1](ln, key); hit != 0 {
+				w := bits.TrailingZeros64(hit)
+				l1.hit(ln, w, write)
+				l1.touch(set, w)
+				ev.L1Hits++
+				lvl = LevelL1
+				if !forward {
+					continue
 				}
-				ev.MemLineFills++ // write-allocate fill from memory
-				w, ok := l2.victim(set, ln)
+				demand = false
+				if len(mode) == len(warmLap{}) {
+					forwarded[uint(from+i)>>6] |= 1 << (uint(from+i) & 63)
+				}
+			} else {
+				w, ok := l1.victim(set, ln)
 				if !ok {
-					w = l2.victimSlow(set)
+					w = l1.victimSlow(set)
 				}
-				ev.MemWriteBacks += l2.fill(ln, w, key, true) >> 1 & lineValid
-				l2.touch(set, w)
+				l1.fill(ln, w, key, write) // a write-through L1 evicts nothing dirty
+				l1.touch(set, w)
 			}
-			continue
+			if len(mode) == len(warmLap{}) {
+				reached[uint(from+i)>>6] |= 1 << (uint(from+i) & 63)
+			}
 		}
-		w, ok := l1.victim(set, ln)
-		if !ok {
-			w = l1.victimSlow(set)
-		}
-		l1.fill(ln, w, key, write) // a write-through L1 evicts nothing dirty
-		l1.touch(set, w)
-		if l2 != nil {
+		if l2 == nil {
+			if write {
+				ev.MemWriteThroughs++
+			}
+			if !demand {
+				continue
+			}
+		} else {
 			l2.writeThrough(write)
 			set, ln, key := locate[W2](l2, addr)
 			if hit := probe[W2](ln, key); hit != 0 {
 				w := bits.TrailingZeros64(hit)
 				l2.hit(ln, w, write)
 				l2.touch(set, w)
-				ev.L2Hits++
-				lvl = LevelL2
+				if demand {
+					ev.L2Hits++
+					lvl = LevelL2
+				}
 				continue
 			}
 			w, ok := l2.victim(set, ln)
@@ -226,8 +265,10 @@ func accessLines[W1, W2 wayCount, E uint32 | uint64](h *Hierarchy, ops []E, stor
 			}
 			ev.MemWriteBacks += l2.fill(ln, w, key, write) >> 1 & lineValid
 			l2.touch(set, w)
-		} else if write {
-			ev.MemWriteThroughs++
+			if !demand {
+				ev.MemLineFills++ // write-allocate fill of a forwarded store
+				continue
+			}
 		}
 		ev.MemAccesses++
 		ev.MemLineFills++
@@ -274,6 +315,7 @@ func (h *Hierarchy) ResetStats() {
 // Flush flushes both levels (dirty data reaches memory) and returns the
 // number of dirty lines that reached memory.
 func (h *Hierarchy) Flush() int {
+	h.lap.ops = nil
 	h.L1.Flush() // the write-through L1 holds nothing dirty
 	if h.L2 == nil {
 		return 0
@@ -281,6 +323,15 @@ func (h *Hierarchy) Flush() int {
 	wb := h.L2.Flush()
 	h.events.MemWriteBacks += uint64(wb)
 	return wb
+}
+
+// Reset empties both levels and zeroes every counter, which leaves the
+// hierarchy behaving as a new one: TrueLRU stamps left by the flushed
+// lines are rewritten before any is read, since a set refills its ways in
+// order. Its buffers are kept for reuse.
+func (h *Hierarchy) Reset() {
+	h.Flush()
+	h.ResetStats()
 }
 
 // LineBytes returns the hierarchy's line size (L1's; levels share it).

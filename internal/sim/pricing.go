@@ -228,10 +228,11 @@ type profileProber struct {
 	demandReads, demandStores, fwdStores uint64
 }
 
-// replay runs one recorded pass through the L1 and the analyzer. Counts
-// cover the timed pass only, while L1 and stack state carry over from the
-// warm-up.
-func (p *profileProber) replay(ops []uint32, timed bool) {
+// replay runs one recorded pass through the L1 and the analyzer; hits
+// counts the loads the record dropped as L1-MRU re-reads, L1 hits that
+// reach neither the L1's state nor the analyzer. Counts cover the timed
+// pass only, while L1 and stack state carry over from the warm-up.
+func (p *profileProber) replay(ops []uint32, hits uint64, timed bool) {
 	p.sa.SetRecording(timed)
 	var l1Hits, demandReads, demandStores, fwdStores uint64
 	for _, op := range ops {
@@ -253,7 +254,7 @@ func (p *profileProber) replay(ops []uint32, timed bool) {
 		}
 	}
 	if timed {
-		p.accesses, p.l1Hits = uint64(len(ops)), l1Hits
+		p.accesses, p.l1Hits = uint64(len(ops))+hits, l1Hits+hits
 		p.demandReads, p.demandStores, p.fwdStores = demandReads, demandStores, fwdStores
 	}
 }
@@ -344,7 +345,10 @@ func fetchOrBuildProfile(a *sparse.CSR, y []float64, parts [][]int32, opts Optio
 	built := &cellProfile{perUE: make([]ueProfile, opts.UEs)}
 	err := uePool.ForEachCtx(opts.ctx(), opts.UEs, opts.workers(), func(rank int) {
 		pp := &profileProber{l1: cache.New(cache.SCCL1()), sa: trace.NewSetAnalyzer(profileSetConfig)}
-		if compute, nnz, ok := walkRank(&opts, k, rank, pp.replay); ok {
+		// Analytic pricing runs without the prefetcher, so the record
+		// may drop L1-MRU re-reads.
+		var rec recorder
+		if compute, nnz, ok := walkRank(&opts, k, rank, &rec, true, pp.replay); ok {
 			built.perUE[rank] = pp.profile(compute, nnz, y, parts[rank])
 		}
 	})

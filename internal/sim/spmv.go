@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"time"
 
@@ -201,19 +202,37 @@ func drive(machines []*Machine, opts Options, k kernel) ([]*Result, error) {
 }
 
 // walkExact fans the ranks over uePool. Each rank's recorded pass runs
-// through its own cold cache hierarchy, and the timed replay's event counts
-// price every swept machine.
+// through a cold cache hierarchy, and the timed replay's event counts price
+// every swept machine.
 func walkExact(machines []*Machine, opts Options, k kernel, results []*Result) error {
 	lead := machines[0]
 	cellsExact.Add(1)
+	// idle is this walk's free list of walkers: a rank takes one or makes
+	// one, and puts it back when done. At most one walker per pool worker
+	// is in use or idle at a time, so putting one back never blocks, and
+	// every walker is garbage once the walk returns. A sync.Pool would keep
+	// them past the walk (DESIGN.md §4, decision 6).
+	idle := make(chan *walker, min(opts.workers(), opts.UEs))
+	filter := mruFilterValid(lead)
 	return uePool.ForEachCtx(opts.ctx(), opts.UEs, opts.workers(), func(rank int) {
 		start := time.Now() //sccvet:allow nondeterminism write-only span instrumentation; never feeds simulated results
-		h := lead.newHierarchy()
-		compute, nnz, ok := walkRank(&opts, &k, rank, func(ops []uint32, timed bool) {
+		var w *walker
+		select {
+		case w = <-idle:
+			w.h.Reset()
+		default:
+			w = &walker{h: lead.newHierarchy()}
+		}
+		defer func() { idle <- w }()
+		h := w.h
+		compute, nnz, ok := walkRank(&opts, &k, rank, &w.rec, filter, func(ops []uint32, hits uint64, timed bool) {
 			if timed {
 				h.ResetStats()
+				h.TimedLines(ops)
+			} else {
+				h.WarmUpLines(ops)
 			}
-			h.AccessLines(ops)
+			h.HitMRU(hits)
 		})
 		if !ok {
 			return // cancelled: the pool returns the context's error
@@ -226,19 +245,37 @@ func walkExact(machines []*Machine, opts Options, k kernel, results []*Result) e
 	})
 }
 
-// walkRank runs rank's pass body once, recording its line stream, and then
-// hands the record to replay twice: as the untimed warm-up, then as the
-// timed pass (the timed pass alone under ColdCache). The record is dropped
-// when the walk returns. The run's context is checked before the record
-// and before each replay, the cancellation granularity: ok=false means the
-// walk stopped there, and since a context's error is permanent the uePool
-// fan-out around the walk then returns it.
-func walkRank(opts *Options, k *kernel, rank int, replay func(ops []uint32, timed bool)) (compute float64, nnz int, ok bool) {
+// walker is one pool worker's scratch within one walk: a hierarchy, cleared
+// with Reset between ranks, and a record buffer.
+type walker struct {
+	h   *cache.Hierarchy
+	rec recorder
+}
+
+// mruFilterValid reports whether a record may drop its L1-MRU re-reads
+// (recorder.dropMRU) for machine m: always, unless the prefetcher can fill the
+// L1, which it does with the L2 disabled.
+func mruFilterValid(m *Machine) bool { return m.WithL2 || !m.Prefetch }
+
+// walkRank runs rank's pass body once, recording its line stream into rec,
+// and then hands the record to replay twice: as the untimed warm-up, then
+// as the timed pass (the timed pass alone under ColdCache). With filter
+// set the record drops every load that re-reads its L1 set's previous line
+// and hands replay their count as hits, L1 hits that change no cache
+// state. rec's buffer is reused when it is large enough. The run's context
+// is checked before the record and before each replay, the cancellation
+// granularity: ok=false means the walk stopped there, and since a
+// context's error is permanent the uePool fan-out around the walk then
+// returns it.
+func walkRank(opts *Options, k *kernel, rank int, rec *recorder, filter bool, replay func(ops []uint32, hits uint64, timed bool)) (compute float64, nnz int, ok bool) {
 	if opts.ctx().Err() != nil {
 		return 0, 0, false
 	}
-	rec := recorder{ops: make([]uint32, 0, k.ops(rank))}
-	compute, nnz = k.body(rank, &rec)
+	rec.reset(k.ops(rank))
+	compute, nnz = k.body(rank, rec)
+	if filter {
+		rec.dropMRU()
+	}
 	passes := 2
 	if opts.ColdCache {
 		passes = 1
@@ -247,7 +284,7 @@ func walkRank(opts *Options, k *kernel, rank int, replay func(ops []uint32, time
 		if opts.ctx().Err() != nil {
 			return 0, 0, false
 		}
-		replay(rec.ops, pass == passes-1)
+		replay(rec.ops, rec.hits, pass == passes-1)
 	}
 	return compute, nnz, true
 }
@@ -334,6 +371,17 @@ func (s *stream) crossing(addr uint64) bool {
 // takes. checkLineRange keeps every line below 2^31, so entries never wrap.
 type recorder struct {
 	ops []uint32
+	// hits counts the loads dropMRU dropped.
+	hits uint64
+}
+
+// reset empties r for a record of at most n entries, reusing its buffer
+// when that holds n.
+func (r *recorder) reset(n int) {
+	if cap(r.ops) < n {
+		r.ops = make([]uint32, 0, n)
+	}
+	r.ops, r.hits = r.ops[:0], 0
 }
 
 func (r *recorder) probe(addr uint64, write bool) {
@@ -342,6 +390,38 @@ func (r *recorder) probe(addr uint64, write bool) {
 		op |= 1
 	}
 	r.ops = append(r.ops, op)
+}
+
+// l1Sets is the SCC L1's set count (cache.SCCL1), which dropMRU tracks;
+// TestRecorderTracksL1Sets holds the two equal.
+const l1Sets = 128
+
+// dropMRU drops every load whose L1 set's previous entry was the same line,
+// and counts it in hits. Replayed from any start state, that line was the
+// last touched in its set, so it is resident and the set's most recently
+// used way: the load hits, touching that way changes no tree bit, and the
+// write-through L1 sends nothing below. So the drop depends on the stream
+// alone, and one record serves every lap, unless the prefetcher fills the
+// L1 between accesses (mruFilterValid). The loop does not branch on the
+// entries: it writes each one and keeps it by advancing past it.
+func (r *recorder) dropMRU() {
+	// mru holds each set's previous entry as a load, line<<1; the odd
+	// initial value matches no load.
+	var mru [l1Sets]uint32
+	for s := range mru {
+		mru[s] = math.MaxUint32
+	}
+	ops, kept := r.ops, 0
+	for _, op := range ops {
+		last := &mru[op>>1%l1Sets]
+		again := *last == op
+		*last = op &^ 1
+		ops[kept] = op
+		if !again {
+			kept++
+		}
+	}
+	r.ops, r.hits = ops[:kept], uint64(len(ops)-kept)
 }
 
 // maxLayoutEnd bounds every kernel's layout: a record entry holds a line
