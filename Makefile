@@ -102,10 +102,10 @@ des-smoke:
 # its seed corpus (which plain go test already replays): the
 # MatrixMarket parser, the generator's row builder against its original
 # sort-based flush, the sccsimd job canonicaliser, the mesh geometry
-# parser, the -pricing and -engine flag parsers, and the cache
-# hierarchy's captured warm-up and timed laps against two plain laps. A
-# crasher is written under the package's testdata/fuzz and fails the
-# target.
+# parser, the -pricing and -engine flag parsers, the cache hierarchy's
+# captured warm-up and timed laps against two plain laps, and generated
+# RCCE programs run on both engines, which must agree. A crasher is
+# written under the package's testdata/fuzz and fails the target.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadMatrixMarket$$' -fuzztime 10s ./internal/sparse
 	$(GO) test -run '^$$' -fuzz '^FuzzRowBuilder$$' -fuzztime 10s ./internal/sparse
@@ -114,6 +114,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePricing$$' -fuzztime 10s ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzParseBackend$$' -fuzztime 10s ./internal/rcce
 	$(GO) test -run '^$$' -fuzz '^FuzzReplayTimedLap$$' -fuzztime 10s ./internal/cache
+	$(GO) test -run '^$$' -fuzz '^FuzzEnginesAgree$$' -fuzztime 10s ./internal/rcce
 
 # serve-smoke proves the sccsimd job daemon end to end: an in-process
 # daemon on a loopback port runs a tiny job twice over real HTTP and

@@ -2,21 +2,18 @@ package lint
 
 import (
 	"go/ast"
-	"go/types"
 	"strings"
 )
 
-// analyzerAtomic enforces all-or-nothing atomicity per variable: once any
-// site reaches a field or package-level variable through a sync/atomic
-// pointer function (atomic.AddUint64(&s.n, 1), atomic.LoadInt64(&hits),
-// ...), every other load and store of that variable must be atomic too.
-// A lone plain `s.n = 0` next to atomic increments is a data race the
-// race detector only catches when the schedule cooperates; this analyzer
-// catches it on every run. Typed atomics (atomic.Uint64 fields) are
-// immune by construction and therefore preferred.
+// analyzerAtomic bans the sync/atomic pointer functions
+// (atomic.AddUint64(&s.n, 1), atomic.LoadInt64(&hits), ...). They make a
+// plain word atomic at one call site only, so one plain `s.n = 0` elsewhere
+// is a data race the race detector catches only when the schedule
+// cooperates. Typed atomics (atomic.Uint64 fields) have no plain access to
+// forget, so the tree uses those alone.
 var analyzerAtomic = &Analyzer{
 	Name: "atomic-consistency",
-	Doc:  "flags variables accessed via sync/atomic in one place and by plain load/store elsewhere",
+	Doc:  "flags sync/atomic pointer-function calls; use the typed atomics",
 	Run:  runAtomic,
 }
 
@@ -32,63 +29,17 @@ func atomicPointerFunc(name string) bool {
 }
 
 func runAtomic(p *Pass) {
-	// Pass 1: find every variable whose address feeds a sync/atomic
-	// pointer function, remembering the identifiers at those call sites.
-	atomicVars := map[*types.Var]string{} // var -> one atomic site (for the message)
-	atomicSites := map[*ast.Ident]bool{}
 	for _, f := range p.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
 				return true
 			}
-			path, name, ok := pkgFunc(p.Info, call)
-			if !ok || path != "sync/atomic" || !atomicPointerFunc(name) || len(call.Args) == 0 {
-				return true
+			if path, name, ok := pkgFunc(p.Info, call); ok && path == "sync/atomic" && atomicPointerFunc(name) {
+				p.Reportf(call.Pos(),
+					"atomic.%s makes a plain word atomic at this call only; any plain access elsewhere is a data race: use a typed atomic like atomic.Uint64",
+					name)
 			}
-			un, ok := call.Args[0].(*ast.UnaryExpr)
-			if !ok {
-				return true
-			}
-			var id *ast.Ident
-			switch x := ast.Unparen(un.X).(type) {
-			case *ast.SelectorExpr:
-				id = x.Sel
-			case *ast.Ident:
-				id = x
-			default:
-				return true
-			}
-			if v, ok := p.Info.Uses[id].(*types.Var); ok {
-				if _, seen := atomicVars[v]; !seen {
-					atomicVars[v] = p.Fset.Position(id.Pos()).String()
-				}
-				atomicSites[id] = true
-			}
-			return true
-		})
-	}
-	if len(atomicVars) == 0 {
-		return
-	}
-	// Pass 2: every other use of those variables is a plain access.
-	for _, f := range p.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			id, ok := n.(*ast.Ident)
-			if !ok || atomicSites[id] {
-				return true
-			}
-			v, ok := p.Info.Uses[id].(*types.Var)
-			if !ok {
-				return true
-			}
-			site, isAtomic := atomicVars[v]
-			if !isAtomic {
-				return true
-			}
-			p.Reportf(id.Pos(),
-				"%s is accessed with sync/atomic at %s but plainly here: mixing atomic and plain access is a data race; make every access atomic (or migrate the field to a typed atomic like atomic.Uint64)",
-				v.Name(), site)
 			return true
 		})
 	}

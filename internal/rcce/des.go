@@ -14,7 +14,7 @@ import (
 // wedges, the deadlock watchdog - on a virtual clock instead of real
 // timers.
 //
-// Tasks (UE bodies and the auxiliary transfers behind Isend/Irecv) each
+// Tasks (UE bodies and the auxiliary transfers behind isend) each
 // live on a host goroutine, but strictly one is runnable at any moment:
 // the scheduler hands a task the baton through its resume channel and
 // waits on the shared yielded channel until the task blocks or exits.
@@ -25,14 +25,14 @@ import (
 //
 // The virtual clock advances only when the ready queue drains and the
 // earliest timer pops, so a one-hour injected latency costs nothing in
-// wall time and Wtime reads the simulated hour. Deadlock detection is
+// wall time and the clock reads the simulated hour. Deadlock detection is
 // exact rather than timed: when every live task is blocked and no timer
 // can wake one, the program can never progress, and the engine raises a
 // DeadlockError immediately - even with no deadline armed, where the
 // goroutine oracle would block forever (the one documented divergence:
 // a hung single-threaded simulation reports instead of hanging).
 type desEngine struct {
-	c        *Comm
+	c        *comm
 	deadline time.Duration
 
 	// now is the virtual clock; seq numbers tasks and timers so FIFO
@@ -52,7 +52,8 @@ type desEngine struct {
 
 	// blocked tracks every parked task for the deadlock report; liveUEs
 	// counts unfinished rank tasks (aux transfers don't keep the
-	// scheduler alive, mirroring how Run only joins UE goroutines).
+	// scheduler alive, mirroring how the goroutine backend only joins
+	// UE goroutines).
 	blocked map[*desTask]struct{}
 	liveUEs int
 
@@ -65,7 +66,7 @@ type desEngine struct {
 type desTask struct {
 	id   int
 	rank int
-	// kind is "ue" for rank tasks, "isend"/"irecv" for aux transfers.
+	// kind is "ue" for rank tasks, "isend" for aux transfers.
 	kind   string
 	resume chan struct{}
 
@@ -76,13 +77,15 @@ type desTask struct {
 	since time.Duration
 	gen   int
 
-	// chunk carries the rendezvous payload: a parked sender's offered
-	// chunk, or the chunk handed to a woken receiver.
+	// chunk/last carry the rendezvous payload and its last-chunk mark: a
+	// parked sender's offered chunk, or the chunk handed to a woken
+	// receiver.
 	chunk []byte
+	last  bool
 	// err is the verdict delivered on wake (nil = woken normally).
 	err error
 
-	// done/derr/joiners implement completion: reqWait blocks the caller
+	// done/derr/joiners implement completion: join blocks the caller
 	// as a joiner until the task finishes.
 	done    bool
 	derr    error
@@ -125,7 +128,7 @@ func (h *desTimerHeap) Pop() any {
 	return x
 }
 
-func newDESEngine(c *Comm) *desEngine {
+func newDESEngine(c *comm) *desEngine {
 	return &desEngine{
 		c:        c,
 		deadline: c.deadline,
@@ -251,7 +254,7 @@ func (e *desEngine) loop() {
 }
 
 // fireDeadlock converts the blocked-task table into a DeadlockError,
-// poisons every barrier and wakes every parked task with the verdict -
+// poisons the barrier and wakes every parked task with the verdict -
 // the virtual-time equivalent of the wall watchdog's abort.
 func (e *desEngine) fireDeadlock() {
 	derr := &DeadlockError{Deadline: e.deadline}
@@ -264,10 +267,10 @@ func (e *desEngine) fireDeadlock() {
 	for _, t := range stuck {
 		derr.Blocked = append(derr.Blocked, BlockedOp{Rank: t.rank, Op: t.op, Peer: t.peer, For: e.now - t.since})
 	}
-	sort.SliceStable(derr.Blocked, func(i, j int) bool { return derr.Blocked[i].Rank < derr.Blocked[j].Rank })
+	sortBlocked(derr.Blocked)
 	e.abort = derr
 	e.c.rec.Record(rcceTrack, "deadlock", "virtual watchdog fired", derr.Error())
-	e.c.poisonBarriers(derr)
+	e.c.barrier.poisonWith(derr)
 	for _, t := range stuck {
 		t.err = derr
 		t.gen++ // invalidate any pending timers for this episode
@@ -318,7 +321,7 @@ func (e *desEngine) pairOf(k pairKey) *desPair {
 	return p
 }
 
-func (e *desEngine) sendChunk(u *UE, dst int, chunk []byte) error {
+func (e *desEngine) sendChunk(u *UE, dst int, chunk []byte, last bool) error {
 	if e.abort != nil {
 		return e.abort
 	}
@@ -330,12 +333,12 @@ func (e *desEngine) sendChunk(u *UE, dst int, chunk []byte) error {
 		// synchronous rendezvous.
 		r := p.recvq[0]
 		p.recvq = p.recvq[1:]
-		r.chunk = chunk
+		r.chunk, r.last = chunk, last
 		r.err = nil
 		e.makeReady(r)
 		return nil
 	}
-	t.chunk = chunk
+	t.chunk, t.last = chunk, last
 	p.sendq = append(p.sendq, t)
 	if err := e.block(t, "send", dst); err != nil {
 		return err
@@ -343,9 +346,9 @@ func (e *desEngine) sendChunk(u *UE, dst int, chunk []byte) error {
 	return nil
 }
 
-func (e *desEngine) recvChunk(u *UE, src int) ([]byte, error) {
+func (e *desEngine) recvChunk(u *UE, src int) ([]byte, bool, error) {
 	if e.abort != nil {
-		return nil, e.abort
+		return nil, false, e.abort
 	}
 	t := e.cur
 	p := e.pairOf(pairKey{src, u.rank})
@@ -356,15 +359,15 @@ func (e *desEngine) recvChunk(u *UE, src int) ([]byte, error) {
 		s.chunk = nil
 		s.err = nil
 		e.makeReady(s)
-		return chunk, nil
+		return chunk, s.last, nil
 	}
 	p.recvq = append(p.recvq, t)
 	if err := e.block(t, "recv", src); err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	chunk := t.chunk
 	t.chunk = nil
-	return chunk, nil
+	return chunk, t.last, nil
 }
 
 // delay advances the task past d of virtual time: it parks as a
@@ -391,50 +394,24 @@ func (e *desEngine) park(u *UE, op string, peer int) error {
 	return e.block(e.cur, op, peer)
 }
 
-// wtime reads the virtual clock: seconds of simulated time, however
-// little wall time the run actually took.
-func (e *desEngine) wtime() float64 {
-	return e.now.Seconds()
-}
-
 func (e *desEngine) isend(u *UE, buf []byte, dst int) *Request {
 	t := e.newTask(u.rank, "isend")
 	e.start(t, func() error { return u.Send(buf, dst) }, nil)
-	return &Request{kind: "isend", eng: e, task: t}
+	return &Request{wait: func() error { return e.join(t, dst) }}
 }
 
-func (e *desEngine) irecv(u *UE, buf []byte, src int) *Request {
-	t := e.newTask(u.rank, "irecv")
-	e.start(t, func() error { return u.Recv(buf, src) }, nil)
-	return &Request{kind: "irecv", eng: e, task: t}
-}
-
-// reqWait joins an aux transfer task: the caller parks until the
-// transfer finishes (or the program aborts) and gets the transfer's
-// error, like Request.Wait on the goroutine backend.
-func (e *desEngine) reqWait(r *Request) error {
-	t := e.cur
-	a := r.task
+// join waits for an aux transfer task: the caller parks as a "wait-isend"
+// op until the transfer finishes (or the program aborts) and gets the
+// transfer's error, like Request.Wait on the goroutine backend.
+func (e *desEngine) join(a *desTask, dst int) error {
 	if !a.done {
+		t := e.cur
 		a.joiners = append(a.joiners, t)
-		if err := e.block(t, "wait-"+a.kind, a.rank); err != nil {
+		if err := e.block(t, "wait-isend", dst); err != nil {
 			return err
 		}
 	}
 	return a.derr
-}
-
-// reqTest polls an aux transfer. Under run-to-completion scheduling the
-// transfer can only have progressed if the caller yielded (blocked)
-// since issuing it, so a spin on Test without an intervening blocking
-// op never completes - callers must Wait (the same discipline real
-// iRCCE polling loops need against a progress engine that only runs
-// when the caller enters the library).
-func (e *desEngine) reqTest(r *Request) (bool, error) {
-	if !r.task.done {
-		return false, nil
-	}
-	return true, r.task.derr
 }
 
 func (e *desEngine) newBarrier(n int) commBarrier {

@@ -23,8 +23,8 @@ var backends = []struct {
 }
 
 // meshProgram is a traffic-heavy program exercising every blocking
-// primitive: barrier, chunked point-to-point, collectives, split,
-// non-blocking ops. It returns rank 0's gathered vector and final stats.
+// primitive: barrier, chunked point-to-point, non-blocking sends and a
+// reduction to rank 0. It returns rank 0's reduced vector and final stats.
 func meshProgram(opts Options, n int) ([]float64, Stats, error) {
 	var out []float64
 	var st Stats
@@ -40,7 +40,11 @@ func meshProgram(opts Options, n int) ([]float64, Stats, error) {
 			payload[i] = byte(u.Rank() + i)
 		}
 		got := make([]byte, len(payload))
-		if err := u.SendRecv(payload, got, partner); err != nil {
+		send := u.isend(payload, partner)
+		if err := u.Recv(got, partner); err != nil {
+			return err
+		}
+		if err := WaitAll(send); err != nil {
 			return err
 		}
 		if got[0] != byte(partner) {
@@ -65,45 +69,41 @@ func meshProgram(opts Options, n int) ([]float64, Stats, error) {
 				return err
 			}
 		}
-		// Collectives.
-		vals := []float64{float64(u.Rank()), 1}
-		sum := make([]float64, 2)
-		if err := u.Allreduce(OpSum, vals, sum); err != nil {
-			return err
-		}
-		if sum[1] != float64(u.NumUEs()) {
-			return fmt.Errorf("rank %d allreduce count %v", u.Rank(), sum[1])
-		}
-		// Subcommunicator by parity.
-		sc, err := u.Split("parity", u.Rank()%2, u.Rank())
-		if err != nil {
-			return err
-		}
-		if err := sc.Barrier(); err != nil {
-			return err
-		}
-		// Gather everything at rank 0.
-		mine := []float64{sum[0] + float64(u.Rank())}
-		all := make([]float64, u.NumUEs())
+		// Reduce at rank 0, in rank order.
+		vals := []float64{float64(u.Rank()) + float64(ring[ChunkBytes]), 1}
 		if u.Rank() == 0 {
-			if err := u.Gather(mine, all, 0); err != nil {
-				return err
+			sum := append([]float64(nil), vals...)
+			tmp := make([]float64, len(vals))
+			for r := 1; r < u.NumUEs(); r++ {
+				if err := u.RecvFloat64s(tmp, r); err != nil {
+					return err
+				}
+				for i := range sum {
+					sum[i] += tmp[i]
+				}
 			}
-		} else {
-			if err := u.Gather(mine, nil, 0); err != nil {
-				return err
+			if sum[1] != float64(u.NumUEs()) {
+				return fmt.Errorf("rank 0 reduced count %v", sum[1])
 			}
+			out = sum
+		} else if err := u.SendFloat64s(vals, 0); err != nil {
+			return err
 		}
 		if err := u.Barrier(); err != nil {
 			return err
 		}
 		if u.Rank() == 0 {
-			out = all
 			st = u.Stats()
 		}
 		return nil
 	})
 	return out, st, err
+}
+
+// virtualSeconds reads the DES engine's virtual clock; only the task
+// holding the scheduler's baton may call it.
+func virtualSeconds(u *UE) float64 {
+	return u.comm.eng.(*desEngine).now.Seconds()
 }
 
 func TestDESMirrorsGoroutineEngine(t *testing.T) {
@@ -118,11 +118,11 @@ func TestDESMirrorsGoroutineEngine(t *testing.T) {
 		t.Fatalf("des run failed: %v", err)
 	}
 	if len(refOut) != len(desOut) {
-		t.Fatalf("gather lengths differ: %d vs %d", len(refOut), len(desOut))
+		t.Fatalf("reduced lengths differ: %d vs %d", len(refOut), len(desOut))
 	}
 	for i := range refOut {
 		if refOut[i] != desOut[i] {
-			t.Errorf("gathered[%d]: goroutine %v, des %v", i, refOut[i], desOut[i])
+			t.Errorf("reduced[%d]: goroutine %v, des %v", i, refOut[i], desOut[i])
 		}
 	}
 	if refSt != desSt {
@@ -143,8 +143,8 @@ func TestDESChaosMirrorsGoroutine(t *testing.T) {
 			t.Fatalf("wedged rank returned %v, want a *DeadlockError", err)
 		}
 		found := false
-		for _, r := range derr.BlockedRanks() {
-			if r == 2 {
+		for _, op := range derr.Blocked {
+			if op.Rank == 2 {
 				found = true
 			}
 		}
@@ -189,10 +189,10 @@ func TestDESChaosMirrorsGoroutine(t *testing.T) {
 
 func TestDESVirtualTimeIsFree(t *testing.T) {
 	// An injected hour of latency costs no wall-clock time on the DES
-	// engine: the scheduler jumps the virtual clock. Wtime must report
-	// the virtual hour.
+	// engine: the scheduler jumps the virtual clock, which must read the
+	// virtual hour.
 	start := time.Now()
-	var wtime float64
+	var clock float64
 	err := RunWith(Options{
 		Backend:  BackendDES,
 		Deadline: 2 * time.Hour,
@@ -213,7 +213,7 @@ func TestDESVirtualTimeIsFree(t *testing.T) {
 			return err
 		}
 		if u.Rank() == 0 {
-			wtime = u.Wtime()
+			clock = virtualSeconds(u)
 		}
 		return nil
 	})
@@ -223,8 +223,8 @@ func TestDESVirtualTimeIsFree(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 10*time.Second {
 		t.Fatalf("virtual hour took %v of wall clock", elapsed)
 	}
-	if wtime < 3600 {
-		t.Errorf("Wtime after a 1h injected delay = %v s, want >= 3600", wtime)
+	if clock < 3600 {
+		t.Errorf("virtual clock after a 1h injected delay = %v s, want >= 3600", clock)
 	}
 }
 
@@ -240,8 +240,8 @@ func TestDESExactDeadlockWithoutDeadline(t *testing.T) {
 	if !errors.As(err, &derr) {
 		t.Fatalf("deadlocked program returned %v, want a *DeadlockError", err)
 	}
-	if got := derr.BlockedRanks(); len(got) != 2 {
-		t.Errorf("BlockedRanks = %v, want both ranks", got)
+	if got := derr.Blocked; len(got) != 2 || got[0].Rank != 0 || got[1].Rank != 1 {
+		t.Errorf("Blocked = %v, want both ranks", got)
 	}
 }
 
@@ -260,7 +260,7 @@ func TestDESDeterministicSchedule(t *testing.T) {
 		}, 4, nil, scc.Uniform(scc.Conf0), func(u *UE) error {
 			note := func(what string) {
 				mu.Lock()
-				log = append(log, fmt.Sprintf("%d:%s@%.6f", u.Rank(), what, u.Wtime()))
+				log = append(log, fmt.Sprintf("%d:%s@%.6f", u.Rank(), what, virtualSeconds(u)))
 				mu.Unlock()
 			}
 			note("start")
@@ -302,8 +302,8 @@ func TestDESDeterministicSchedule(t *testing.T) {
 
 func TestDESLargeMesh1024UEs(t *testing.T) {
 	// Beyond-the-chip scaling: a 32x32 mesh of single-core tiles runs
-	// 1024 UEs on one host thread. Every rank contributes to a global
-	// reduction and exchanges with its ring neighbours.
+	// 1024 UEs on one host thread. Every rank exchanges with its ring
+	// neighbours and contributes to a reduction at rank 0.
 	geom := scc.Geometry{TilesX: 32, TilesY: 32, CoresPerTile: 1}
 	err := RunWith(Options{Backend: BackendDES, Geometry: geom}, 1024, nil,
 		scc.Uniform(scc.Conf0), func(u *UE) error {
@@ -327,12 +327,21 @@ func TestDESLargeMesh1024UEs(t *testing.T) {
 					return err
 				}
 			}
-			sum := make([]float64, 1)
-			if err := u.Allreduce(OpSum, []float64{1}, sum); err != nil {
-				return err
+			if u.Rank() != 0 {
+				if err := u.SendFloat64s([]float64{1}, 0); err != nil {
+					return err
+				}
+				return u.Barrier()
 			}
-			if sum[0] != 1024 {
-				return fmt.Errorf("rank %d allreduce sum %v, want 1024", u.Rank(), sum[0])
+			sum, one := 1.0, make([]float64, 1)
+			for r := 1; r < u.NumUEs(); r++ {
+				if err := u.RecvFloat64s(one, r); err != nil {
+					return err
+				}
+				sum += one[0]
+			}
+			if sum != 1024 {
+				return fmt.Errorf("rank 0 reduced sum %v, want 1024", sum)
 			}
 			return u.Barrier()
 		})
@@ -342,25 +351,25 @@ func TestDESLargeMesh1024UEs(t *testing.T) {
 }
 
 func TestDESNonblockingOps(t *testing.T) {
-	// Isend/Irecv and SendRecv on the DES engine: the transfers run as
-	// auxiliary scheduler tasks joined by Wait.
+	// isend on the DES engine: the transfers run as auxiliary scheduler
+	// tasks joined by Wait, so a symmetric exchange cannot deadlock.
 	err := RunWith(Options{Backend: BackendDES}, 2, nil, scc.Uniform(scc.Conf0),
 		func(u *UE) error {
 			partner := 1 - u.Rank()
-			sendBuf := []byte{byte(10 + u.Rank())}
-			recvBuf := make([]byte, 1)
-			if err := u.SendRecv(sendBuf, recvBuf, partner); err != nil {
-				return err
+			for round := 0; round < 2; round++ {
+				req := u.isend([]byte{byte(10*round + u.Rank())}, partner)
+				got := make([]byte, 1)
+				if err := u.Recv(got, partner); err != nil {
+					return err
+				}
+				if err := req.Wait(); err != nil {
+					return err
+				}
+				if got[0] != byte(10*round+partner) {
+					return fmt.Errorf("rank %d round %d exchanged %d, want %d", u.Rank(), round, got[0], 10*round+partner)
+				}
 			}
-			if recvBuf[0] != byte(10+partner) {
-				return fmt.Errorf("rank %d exchanged %d, want %d", u.Rank(), recvBuf[0], 10+partner)
-			}
-			req := u.Isend([]byte{byte(u.Rank())}, partner)
-			got := make([]byte, 1)
-			if err := u.Recv(got, partner); err != nil {
-				return err
-			}
-			return req.Wait()
+			return nil
 		})
 	if err != nil {
 		t.Fatalf("DES non-blocking run failed: %v", err)
@@ -440,16 +449,48 @@ func TestRecvZeroLengthSizeMismatch(t *testing.T) {
 	}
 }
 
-func TestWtimeMonotonicUnderSteppedClock(t *testing.T) {
-	// Regression: Wtime read time.Since directly, bypassing the obs clock
-	// seam, so a wall clock stepped backwards (NTP) could yield a negative
-	// elapsed time. Through the seam a start stamp in the future clamps
-	// to zero instead of going negative.
-	c := &Comm{n: 1, started: time.Now().Add(time.Hour)}
-	c.eng = newGoroutineEngine(c)
-	u := &UE{comm: c, rank: 0}
-	if w := u.Wtime(); w != 0 {
-		t.Errorf("Wtime under a stepped clock = %v, want 0", w)
+func TestRecvMessageBoundarySizeMismatch(t *testing.T) {
+	// Regression: Recv only noticed a chunk that overflowed its window, so
+	// a message split across two receives, or two messages merged into
+	// one receive, returned nil. The last-chunk mark makes both a size
+	// mismatch, on both engines.
+	cases := []struct {
+		name  string
+		sends []int // message sizes rank 0 sends, in order
+		recvs []int // window sizes rank 1 receives, in order
+	}{
+		{"one-message-two-receives", []int{2 * ChunkBytes}, []int{ChunkBytes, ChunkBytes}},
+		{"two-messages-one-receive", []int{100, 100}, []int{200}},
+	}
+	for _, be := range backends {
+		for _, c := range cases {
+			t.Run(be.name+"/"+c.name, func(t *testing.T) {
+				var recvErr error
+				err := RunWith(Options{Backend: be.b, Deadline: 100 * time.Millisecond}, 2, nil,
+					scc.Uniform(scc.Conf0), func(u *UE) error {
+						if u.Rank() == 0 {
+							for _, n := range c.sends {
+								if err := u.Send(make([]byte, n), 1); err != nil {
+									return err // aborted once the receiver gives up
+								}
+							}
+							return nil
+						}
+						for _, n := range c.recvs {
+							if recvErr = u.Recv(make([]byte, n), 0); recvErr != nil {
+								return nil
+							}
+						}
+						return nil
+					})
+				if recvErr == nil {
+					t.Fatalf("sends %v received as %v returned nil (program: %v)", c.sends, c.recvs, err)
+				}
+				if !strings.Contains(recvErr.Error(), "size mismatch") {
+					t.Errorf("error %q does not name the size mismatch", recvErr)
+				}
+			})
+		}
 	}
 }
 

@@ -5,15 +5,14 @@ import (
 	"time"
 )
 
-// Backend selects the concurrency engine behind a Comm.
+// Backend selects the concurrency engine behind a program.
 type Backend int
 
 const (
 	// BackendGoroutine is the default engine and the semantic oracle:
 	// one live goroutine per UE, unbuffered channels for the synchronous
 	// rendezvous, a wall-clock watchdog. Misordered programs really
-	// deadlock, the race detector sees every interleaving, and Wtime is
-	// wall time.
+	// deadlock, and the race detector sees every interleaving.
 	BackendGoroutine Backend = iota
 	// BackendDES is the discrete-event engine: a single-threaded
 	// virtual-time scheduler that runs exactly one UE at a time and
@@ -50,11 +49,11 @@ func ParseBackend(s string) (Backend, error) {
 	}
 }
 
-// engine is the concurrency substrate behind a Comm: how UEs run, how a
-// rendezvous blocks and wakes, what the clock reads, and how a wedged
-// program is converted into a DeadlockError. Comm and the public API
-// above it (Send/Recv/collectives/subcomms/Shmalloc) are engine-free;
-// everything that blocks goes through these hooks.
+// engine is the concurrency substrate behind a program: how UEs run, how a
+// rendezvous blocks and wakes, and how a wedged program is converted into
+// a DeadlockError. The program state (comm) and the public API above it
+// (Send/Recv/Barrier/IsendFloat64s/Shmalloc) are engine-free; everything
+// that blocks goes through these hooks.
 type engine interface {
 	// run launches one task per rank executing body and joins them all,
 	// combining their errors like errors.Join.
@@ -64,9 +63,10 @@ type engine interface {
 	newBarrier(n int) commBarrier
 	// sendChunk and recvChunk perform one synchronous rendezvous on the
 	// ordered pair: a send blocks until the matching receive takes the
-	// chunk, and vice versa.
-	sendChunk(u *UE, dst int, chunk []byte) error
-	recvChunk(u *UE, src int) ([]byte, error)
+	// chunk, and vice versa. last marks a message's final chunk and
+	// travels with it.
+	sendChunk(u *UE, dst int, chunk []byte, last bool) error
+	recvChunk(u *UE, src int) (chunk []byte, last bool, err error)
 	// delay blocks u for d (an injected message latency) as a
 	// watchdog-visible "delay" op: the deadline applies to it and an
 	// abort interrupts it, exactly like a rendezvous.
@@ -74,14 +74,9 @@ type engine interface {
 	// park blocks u indefinitely (an injected wedge); only a watchdog
 	// abort releases it.
 	park(u *UE, op string, peer int) error
-	// wtime is the engine's clock reading in seconds since the program
-	// started: monotonic-safe wall time for the goroutine backend,
-	// virtual time for DES.
-	wtime() float64
-	// isend and irecv start the asynchronous transfers behind iRCCE
-	// Requests; buf ownership follows Isend/Irecv's documented rules.
+	// isend starts the asynchronous send behind a Request; the engine
+	// owns buf from here on.
 	isend(u *UE, buf []byte, dst int) *Request
-	irecv(u *UE, buf []byte, src int) *Request
 }
 
 // commBarrier is a reusable counting barrier owned by an engine. A

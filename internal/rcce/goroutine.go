@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"sync"
 	"time"
-
-	"repro/internal/obs"
 )
 
 // goroutineEngine is the original RCCE substrate and the semantic
@@ -14,21 +12,21 @@ import (
 // unbuffered per-pair channels for the synchronous rendezvous, and a
 // wall-clock watchdog polling the blocked-op table.
 type goroutineEngine struct {
-	c *Comm
+	c *comm
 
 	// chans holds the per-ordered-pair rendezvous channels; chansMu
 	// guards the table (channels are created lazily on first use).
-	chans   map[pairKey]chan []byte
+	chans   map[pairKey]chan chunkMsg
 	chansMu sync.Mutex
 
 	// watch is the deadline watchdog (nil when no deadline is armed).
 	watch *watchdog
 }
 
-func newGoroutineEngine(c *Comm) *goroutineEngine {
-	e := &goroutineEngine{c: c, chans: make(map[pairKey]chan []byte)}
+func newGoroutineEngine(c *comm) *goroutineEngine {
+	e := &goroutineEngine{c: c, chans: make(map[pairKey]chan chunkMsg)}
 	if c.deadline > 0 {
-		e.watch = newWatchdog(c.deadline, c.rec, c.poisonBarriers)
+		e.watch = newWatchdog(c.deadline, c.rec, func(err error) { c.barrier.poisonWith(err) })
 	}
 	return e
 }
@@ -47,7 +45,7 @@ func (e *goroutineEngine) run(body func(*UE) error) error {
 		wg.Add(1)
 		// UEs *are* the simulated cores of the RCCE thread model: their
 		// concurrency is the semantics under test, not host fan-out.
-		go func(rank int) { //sccvet:allow bare-goroutine UEs are the RCCE thread model itself, not host work distribution; Run joins them all before returning
+		go func(rank int) { //sccvet:allow bare-goroutine UEs are the RCCE thread model itself, not host work distribution; run joins them all before returning
 			defer wg.Done()
 			defer func() {
 				if p := recover(); p != nil {
@@ -64,16 +62,22 @@ func (e *goroutineEngine) run(body func(*UE) error) error {
 	return errors.Join(errs...)
 }
 
+// chunkMsg is one chunk on a pair channel, with its last-chunk mark.
+type chunkMsg struct {
+	data []byte
+	last bool
+}
+
 // channel returns the rendezvous channel for the ordered pair (src, dst).
 // Channels are unbuffered: a send blocks until the receiver arrives, which
 // is RCCE's synchronous point-to-point semantics.
-func (e *goroutineEngine) channel(src, dst int) chan []byte {
+func (e *goroutineEngine) channel(src, dst int) chan chunkMsg {
 	e.chansMu.Lock()
 	defer e.chansMu.Unlock()
 	k := pairKey{src, dst}
 	ch, ok := e.chans[k]
 	if !ok {
-		ch = make(chan []byte)
+		ch = make(chan chunkMsg)
 		e.chans[k] = ch
 	}
 	return ch
@@ -81,17 +85,17 @@ func (e *goroutineEngine) channel(src, dst int) chan []byte {
 
 // sendChunk moves one chunk through the pair channel, honouring the
 // watchdog deadline when one is armed.
-func (e *goroutineEngine) sendChunk(u *UE, dst int, chunk []byte) error {
+func (e *goroutineEngine) sendChunk(u *UE, dst int, chunk []byte, last bool) error {
 	ch := e.channel(u.rank, dst)
+	msg := chunkMsg{chunk, last}
 	w := e.watch
 	if w == nil {
-		ch <- chunk
+		ch <- msg
 		return nil
 	}
-	w.enter(u.rank, "send", dst)
-	defer w.leave(u.rank)
+	defer w.leave(w.enter(u.rank, "send", dst))
 	select {
-	case ch <- chunk:
+	case ch <- msg:
 		return nil
 	case <-w.aborted:
 		return w.err()
@@ -100,19 +104,19 @@ func (e *goroutineEngine) sendChunk(u *UE, dst int, chunk []byte) error {
 
 // recvChunk receives one chunk from the pair channel, honouring the
 // watchdog deadline when one is armed.
-func (e *goroutineEngine) recvChunk(u *UE, src int) ([]byte, error) {
+func (e *goroutineEngine) recvChunk(u *UE, src int) ([]byte, bool, error) {
 	ch := e.channel(src, u.rank)
 	w := e.watch
 	if w == nil {
-		return <-ch, nil
+		msg := <-ch
+		return msg.data, msg.last, nil
 	}
-	w.enter(u.rank, "recv", src)
-	defer w.leave(u.rank)
+	defer w.leave(w.enter(u.rank, "recv", src))
 	select {
-	case chunk := <-ch:
-		return chunk, nil
+	case msg := <-ch:
+		return msg.data, msg.last, nil
 	case <-w.aborted:
-		return nil, w.err()
+		return nil, false, w.err()
 	}
 }
 
@@ -128,8 +132,7 @@ func (e *goroutineEngine) delay(u *UE, peer int, d time.Duration) error {
 		time.Sleep(d) //sccvet:allow lock-across-blocking no watchdog armed: nothing exists to interrupt the injected latency, matching block-forever semantics
 		return nil
 	}
-	w.enter(u.rank, "delay", peer)
-	defer w.leave(u.rank)
+	defer w.leave(w.enter(u.rank, "delay", peer))
 	t := time.NewTimer(d)
 	defer t.Stop()
 	select {
@@ -147,36 +150,30 @@ func (e *goroutineEngine) park(u *UE, op string, peer int) error {
 	if w == nil {
 		select {} // wedged with no watchdog: hung hardware, hung program
 	}
-	w.enter(u.rank, op, peer)
-	defer w.leave(u.rank)
+	defer w.leave(w.enter(u.rank, op, peer))
 	<-w.aborted
 	return w.err()
 }
 
-// wtime is monotonic-safe wall time since the program started: the
-// clamped obs clock seam keeps a stepped wall clock from producing a
-// negative RCCE_wtime reading.
-func (e *goroutineEngine) wtime() float64 {
-	return obs.Since(e.c.started).Seconds()
-}
-
 func (e *goroutineEngine) isend(u *UE, buf []byte, dst int) *Request {
-	req := newRequest("isend")
+	done := make(chan struct{})
+	var err error
 	// The progress goroutine stands in for iRCCE's asynchronous engine; it
 	// must block on the rendezvous independently of the issuing UE, which a
 	// pool task (one of finitely many workers) cannot.
-	go func() { //sccvet:allow bare-goroutine iRCCE progress engine: completion is joined through Request.Wait/Test, never left dangling
-		req.finish(u.Send(buf, dst))
+	go func() { //sccvet:allow bare-goroutine iRCCE progress engine: completion is joined through Request.Wait, never left dangling
+		err = u.Send(buf, dst)
+		close(done)
 	}()
-	return req
-}
-
-func (e *goroutineEngine) irecv(u *UE, buf []byte, src int) *Request {
-	req := newRequest("irecv")
-	go func() { //sccvet:allow bare-goroutine iRCCE progress engine: completion is joined through Request.Wait/Test, never left dangling
-		req.finish(u.Recv(buf, src))
-	}()
-	return req
+	return &Request{wait: func() error {
+		// A waiting UE is a blocked "wait-isend" op, as on DES. It needs
+		// no abort path: a watchdog fire ends the transfer too.
+		if w := e.watch; w != nil {
+			defer w.leave(w.enter(u.rank, "wait-isend", dst))
+		}
+		<-done
+		return err
+	}}
 }
 
 // newBarrier returns the goroutine backend's cond-based counting
@@ -200,8 +197,7 @@ type gBarrier struct {
 
 func (b *gBarrier) wait(u *UE, op string, onRelease func()) error {
 	if w := b.e.watch; w != nil {
-		w.enter(u.rank, op, -1)
-		defer w.leave(u.rank)
+		defer w.leave(w.enter(u.rank, op, -1))
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()

@@ -1,102 +1,43 @@
 package rcce
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
-// Non-blocking point-to-point operations in the style of iRCCE, the
-// asynchronous extension library Intel shipped alongside RCCE. An Isend or
-// Irecv returns a *Request immediately; the transfer progresses on a helper
-// task (standing in for iRCCE's progress engine) and Wait/Test complete it.
-// Mixing blocking and non-blocking operations on the same (source,
-// destination) pair is ordered: both go through the pair's rendezvous.
+// Non-blocking sends in the style of iRCCE, the asynchronous extension
+// library Intel shipped alongside RCCE. IsendFloat64s returns a *Request
+// immediately; the transfer progresses on a helper task (standing in for
+// iRCCE's progress engine) and Wait completes it. Sends on one
+// (source, destination) pair are ordered only while one is in flight at a
+// time: a later send to the same rank can overtake a non-blocking one
+// that has not been waited for (both engines), so wait for it first.
 
-// Request tracks an in-flight non-blocking operation.
+// Request tracks an in-flight non-blocking send.
 type Request struct {
-	// kind is "isend" or "irecv" (for error messages).
-	kind string
-
-	// done/once/err complete goroutine-backend requests (and requests
-	// that fail validation before reaching any engine).
-	done chan struct{}
-	once sync.Once
-	err  error
-
-	// eng/task complete DES-backend requests: the transfer runs as an
-	// auxiliary scheduler task and Wait joins it.
-	eng  *desEngine
-	task *desTask
+	// wait joins the transfer and returns its error; the engine that
+	// started the transfer supplies it.
+	wait func() error
 }
 
-func newRequest(kind string) *Request {
-	return &Request{done: make(chan struct{}), kind: kind}
+// Wait blocks until the send completes and returns its error; waiting
+// again returns the same error.
+func (r *Request) Wait() error { return r.wait() }
+
+// failedRequest is a request that never started: Wait returns err.
+func failedRequest(err error) *Request {
+	return &Request{wait: func() error { return err }}
 }
 
-func (r *Request) finish(err error) {
-	r.once.Do(func() {
-		r.err = err
-		close(r.done)
-	})
-}
-
-// Wait blocks until the operation completes and returns its error.
-func (r *Request) Wait() error {
-	if r.task != nil {
-		return r.eng.reqWait(r)
-	}
-	<-r.done
-	return r.err
-}
-
-// Test reports whether the operation has completed, without blocking.
-// The error is only meaningful when done is true. Under the DES backend
-// a transfer only progresses while the issuing UE is blocked, so poll
-// loops must interleave a blocking op (or just Wait).
-func (r *Request) Test() (done bool, err error) {
-	if r.task != nil {
-		return r.eng.reqTest(r)
-	}
-	select {
-	case <-r.done:
-		return true, r.err
-	default:
-		return false, nil
-	}
-}
-
-// Isend starts a non-blocking send of data to dst and returns immediately.
-// The data slice is copied before Isend returns, so the caller may reuse it.
-// Completion (Wait/Test) follows RCCE's synchronous semantics: the send is
-// done when the receiver has accepted the whole payload.
-func (u *UE) Isend(data []byte, dst int) *Request {
-	req := newRequest("isend")
+// isend starts a non-blocking send of buf to dst and returns at once; the
+// transfer owns buf from here on. Completion (Wait) follows RCCE's
+// synchronous semantics: the send is done when the receiver has accepted
+// the whole payload.
+func (u *UE) isend(buf []byte, dst int) *Request {
 	if dst < 0 || dst >= u.comm.n {
-		req.finish(fmt.Errorf("rcce: isend to invalid rank %d", dst))
-		return req
+		return failedRequest(fmt.Errorf("rcce: isend to invalid rank %d", dst))
 	}
 	if dst == u.rank {
-		req.finish(fmt.Errorf("rcce: UE %d isend to itself", u.rank))
-		return req
+		return failedRequest(fmt.Errorf("rcce: UE %d isend to itself", u.rank))
 	}
-	buf := make([]byte, len(data))
-	copy(buf, data)
 	return u.comm.eng.isend(u, buf, dst)
-}
-
-// Irecv starts a non-blocking receive of exactly len(buf) bytes from src.
-// The caller must not touch buf until the request completes.
-func (u *UE) Irecv(buf []byte, src int) *Request {
-	req := newRequest("irecv")
-	if src < 0 || src >= u.comm.n {
-		req.finish(fmt.Errorf("rcce: irecv from invalid rank %d", src))
-		return req
-	}
-	if src == u.rank {
-		req.finish(fmt.Errorf("rcce: UE %d irecv from itself", u.rank))
-		return req
-	}
-	return u.comm.eng.irecv(u, buf, src)
 }
 
 // WaitAll waits for every request and returns the first error encountered.
@@ -108,18 +49,4 @@ func WaitAll(reqs ...*Request) error {
 		}
 	}
 	return first
-}
-
-// SendRecv exchanges equal-sized payloads with a partner rank without
-// deadlock regardless of rank ordering: the send runs non-blocking while
-// the receive progresses - the canonical halo-exchange building block.
-func (u *UE) SendRecv(sendBuf []byte, recvBuf []byte, partner int) error {
-	s := u.Isend(sendBuf, partner)
-	if err := u.Recv(recvBuf, partner); err != nil {
-		// Drain the send before reporting so the goroutine cannot leak
-		// into a later operation on the same pair.
-		_ = s.Wait() //sccvet:allow error-discard the Recv error is already being returned; this Wait only drains the paired send
-		return err
-	}
-	return s.Wait()
 }

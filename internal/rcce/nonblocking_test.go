@@ -1,44 +1,24 @@
 package rcce
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"testing"
 )
 
-func TestIsendIrecvRoundTrip(t *testing.T) {
-	payload := []byte("async hello")
-	run(t, 2, func(u *UE) error {
-		if u.Rank() == 0 {
-			req := u.Isend(payload, 1)
-			return req.Wait()
-		}
-		buf := make([]byte, len(payload))
-		req := u.Irecv(buf, 0)
-		if err := req.Wait(); err != nil {
-			return err
-		}
-		if !bytes.Equal(buf, payload) {
-			return fmt.Errorf("got %q", buf)
-		}
-		return nil
-	})
-}
-
 func TestIsendCopiesData(t *testing.T) {
 	run(t, 2, func(u *UE) error {
 		if u.Rank() == 0 {
-			data := []byte{1, 2, 3}
-			req := u.Isend(data, 1)
-			data[0] = 99 // must not affect the in-flight payload
+			vals := []float64{1, 2, 3}
+			req := u.IsendFloat64s(vals, 1)
+			vals[0] = 99 // must not affect the in-flight payload
 			return req.Wait()
 		}
-		buf := make([]byte, 3)
-		if err := u.Recv(buf, 0); err != nil {
+		out := make([]float64, 3)
+		if err := u.RecvFloat64s(out, 0); err != nil {
 			return err
 		}
-		if buf[0] != 1 {
+		if out[0] != 1 {
 			return errors.New("isend did not snapshot the payload")
 		}
 		return nil
@@ -50,40 +30,14 @@ func TestIsendInvalidDestination(t *testing.T) {
 		if u.Rank() != 0 {
 			return nil
 		}
-		if err := u.Isend([]byte{1}, 9).Wait(); err == nil {
+		if err := u.isend([]byte{1}, 9).Wait(); err == nil {
 			return errors.New("isend to rank 9 accepted")
 		}
-		if err := u.Isend([]byte{1}, 0).Wait(); err == nil {
+		if err := u.isend([]byte{1}, 0).Wait(); err == nil {
 			return errors.New("isend to self accepted")
 		}
-		if err := u.Irecv(make([]byte, 1), -1).Wait(); err == nil {
-			return errors.New("irecv from -1 accepted")
-		}
-		if err := u.Irecv(make([]byte, 1), 0).Wait(); err == nil {
-			return errors.New("irecv from self accepted")
-		}
-		return nil
-	})
-}
-
-func TestRequestTest(t *testing.T) {
-	run(t, 2, func(u *UE) error {
-		if u.Rank() == 0 {
-			// No receiver yet: the request must report not-done.
-			req := u.Isend(make([]byte, 8), 1)
-			if done, _ := req.Test(); done {
-				// It could race to done only after the receiver posts;
-				// the receiver waits for our barrier below, so done here
-				// is a genuine bug.
-				return errors.New("isend completed with no receiver")
-			}
-			u.Barrier()
-			return req.Wait()
-		}
-		u.Barrier() // now post the receive
-		buf := make([]byte, 8)
-		if err := u.Recv(buf, 0); err != nil {
-			return err
+		if err := u.IsendFloat64s([]float64{1}, -1).Wait(); err == nil {
+			return errors.New("float64 isend to -1 accepted")
 		}
 		return nil
 	})
@@ -93,8 +47,8 @@ func TestWaitAll(t *testing.T) {
 	run(t, 3, func(u *UE) error {
 		switch u.Rank() {
 		case 0:
-			a := u.Isend([]byte{1}, 1)
-			b := u.Isend([]byte{2}, 2)
+			a := u.isend([]byte{1}, 1)
+			b := u.isend([]byte{2}, 2)
 			return WaitAll(a, b)
 		default:
 			buf := make([]byte, 1)
@@ -114,7 +68,7 @@ func TestWaitAllPropagatesError(t *testing.T) {
 		if u.Rank() != 0 {
 			return nil
 		}
-		bad := u.Isend([]byte{1}, 7)
+		bad := u.isend([]byte{1}, 7)
 		if err := WaitAll(bad); err == nil {
 			return errors.New("WaitAll swallowed the error")
 		}
@@ -124,13 +78,16 @@ func TestWaitAllPropagatesError(t *testing.T) {
 
 func TestSendRecvExchangeNoDeadlock(t *testing.T) {
 	// Every rank exchanges with a partner simultaneously - a blocking
-	// Send/Send would deadlock; SendRecv must not.
+	// Send/Send would deadlock; isend then Recv must not.
 	const n = 8
 	run(t, n, func(u *UE) error {
 		partner := u.Rank() ^ 1 // pairs (0,1), (2,3), ...
-		out := []byte{byte(u.Rank())}
+		s := u.isend([]byte{byte(u.Rank())}, partner)
 		in := make([]byte, 1)
-		if err := u.SendRecv(out, in, partner); err != nil {
+		if err := u.Recv(in, partner); err != nil {
+			return err
+		}
+		if err := s.Wait(); err != nil {
 			return err
 		}
 		if in[0] != byte(partner) {
@@ -142,12 +99,12 @@ func TestSendRecvExchangeNoDeadlock(t *testing.T) {
 
 func TestSendRecvRing(t *testing.T) {
 	// A full ring shift: rank r sends to r+1 and receives from r-1.
-	// With symmetric blocking sends this deadlocks; Isend breaks it.
+	// With symmetric blocking sends this deadlocks; isend breaks it.
 	const n = 6
 	run(t, n, func(u *UE) error {
 		next := (u.Rank() + 1) % n
 		prev := (u.Rank() + n - 1) % n
-		s := u.Isend([]byte{byte(u.Rank())}, next)
+		s := u.isend([]byte{byte(u.Rank())}, next)
 		in := make([]byte, 1)
 		if err := u.Recv(in, prev); err != nil {
 			return err
@@ -165,7 +122,7 @@ func TestSendRecvRing(t *testing.T) {
 func TestRequestDoubleWaitIsSafe(t *testing.T) {
 	run(t, 2, func(u *UE) error {
 		if u.Rank() == 0 {
-			req := u.Isend([]byte{5}, 1)
+			req := u.isend([]byte{5}, 1)
 			if err := req.Wait(); err != nil {
 				return err
 			}

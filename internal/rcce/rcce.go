@@ -1,15 +1,16 @@
-// Package rcce is a functional workalike of Intel's RCCE ("rocky") light-
-// weight message-passing library for the SCC. It reproduces the
-// programming model the paper's SpMV uses: a fixed set of units of
-// execution (UEs) addressed by rank, mapped onto physical cores by a
-// configurable mapping, synchronous point-to-point messages that move
-// through an 8 KB-per-core message passing buffer in line-sized chunks,
-// barriers, simple collectives, shared-memory allocation and the wall-clock
-// and power-management entry points.
+// Package rcce is a functional workalike of the part of Intel's RCCE
+// ("rocky") lightweight message-passing library for the SCC that the
+// paper's SpMV uses: a fixed set of units of execution (UEs) addressed by
+// rank, synchronous point-to-point messages that move through an 8 KB-per-
+// core message passing buffer in line-sized chunks, a barrier, and
+// shared-memory allocation (x lives in shared memory; rank 0 gathers y).
+// IsendFloat64s, after the iRCCE extension library, runs a send in the
+// background for the distributed halo exchange.
 //
 // The package is *functionally* real - messages actually move between
 // tasks and a misordered program really deadlocks - while performance
-// figures come from the separate timing simulator in internal/sim.
+// and power figures come from the separate timing simulator in
+// internal/sim.
 //
 // Two engines implement the runtime behind a common seam (Options.Backend):
 // the default goroutine backend (one live goroutine per UE, unbuffered
@@ -23,12 +24,14 @@
 // a wedged program into a structured DeadlockError naming the blocked
 // ranks and operations, and accepts a fault.Plan that deterministically
 // wedges or fails a rank mid-iteration and drops or delays individual
-// messages (the chaos-test harness). Run, without options, keeps RCCE's
-// original block-forever semantics.
+// messages (the chaos-test harness). With no deadline, RunWith keeps
+// RCCE's original block-forever semantics.
 package rcce
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -42,16 +45,16 @@ import (
 // message passing buffer: one UE's MPB share.
 const ChunkBytes = scc.MPBBytesPerCore
 
-// Options configures a Run beyond the paper's defaults.
+// Options configures a RunWith beyond the paper's defaults.
 type Options struct {
 	// Deadline bounds every blocking communication rendezvous (send and
-	// receive chunks, barriers, the collectives built on them, injected
-	// delays). When any single rendezvous stays blocked past the
-	// deadline, a watchdog aborts the whole program with a DeadlockError
-	// naming the blocked ranks and ops. 0 keeps RCCE's block-forever
-	// semantics on the goroutine backend; the DES backend additionally
-	// reports genuine deadlocks exactly even without a deadline, because
-	// its event model proves when no progress is possible.
+	// receive chunks, barriers, isend waits, injected delays). When any
+	// single rendezvous stays blocked past the deadline, a watchdog
+	// aborts the whole program with a DeadlockError naming the blocked
+	// ranks and ops. 0 keeps RCCE's block-forever semantics on the
+	// goroutine backend; the DES backend additionally reports genuine
+	// deadlocks exactly even without a deadline, because its event model
+	// proves when no progress is possible.
 	Deadline time.Duration
 	// Fault is the deterministic fault-injection plan consulted at every
 	// communication operation (nil injects nothing). A wedged rank only
@@ -70,27 +73,22 @@ type Options struct {
 	// Geometry sets the simulated chip's mesh dimensions. The zero value
 	// is the real SCC (6x4 tiles, 2 cores per tile, 48 cores); custom
 	// geometries lift the UE cap for beyond-the-hardware scaling runs
-	// (e.g. 32x32x1 = 1024 UEs). The power API models the real chip, so
-	// on custom geometries tiles beyond the real tile count start at the
-	// first tile's clock.
+	// (e.g. 32x32x1 = 1024 UEs).
 	Geometry scc.Geometry
 }
 
-// Comm is one parallel program instance: the state shared by its UEs.
+// comm is one parallel program instance: the state shared by its UEs.
 //
-// Concurrency audit (sccvet atomic-consistency pass): n, mapping, geom,
-// deadline, plan, eng, rec and started are written once before the engine
-// launches the UE tasks and are read-only afterwards; the per-pair message
-// counters are guarded by seqMu, the shared-memory and split tables by
-// shmMu, the barrier registry by barMu, the mutable frequency-domain
-// record by domMu, and the traffic/op counters are typed atomics, which
-// the analyzer prefers because a plain access to them cannot compile.
-// Engine-internal state (channel tables, the event queue) lives in the
-// engine, under its own discipline.
-type Comm struct {
-	n       int
-	mapping scc.Mapping
-	geom    scc.Geometry
+// Concurrency audit: n, deadline, plan, eng, rec and barrier are written
+// once before the engine launches the UE tasks and are read-only
+// afterwards; the per-pair message counters are guarded by seqMu, the
+// shared-memory table by shmMu, and the traffic/op counters are typed
+// atomics, so a plain access to one cannot compile (sccvet's
+// atomic-consistency pass bans the sync/atomic pointer functions, which
+// leaves typed atomics the only kind). Engine-internal state (channel
+// tables, the event queue) lives in the engine, under its own discipline.
+type comm struct {
+	n int
 
 	// deadline/plan/rec are the robustness layer: per-op deadline,
 	// fault-injection plan and the flight recorder events land on (nil
@@ -101,30 +99,17 @@ type Comm struct {
 	rec      *obs.Recorder
 	eng      engine
 
-	// tileMHz is the mutable per-tile clock record behind SetTileMHz /
-	// TileMHz / Domains, sized to the geometry; domMu guards it along
-	// with the chip-wide mesh/memory clocks.
-	tileMHz []int
-	meshMHz int
-	memMHz  int
-	domMu   sync.Mutex
-
 	// msgSeq counts Send calls per (src, dst) pair - the sequence
 	// numbers fault.Plan message matches use; seqMu guards the table.
 	msgSeq map[pairKey]int
 	seqMu  sync.Mutex
 
+	// barrier is the program's one barrier; the watchdog poisons it when
+	// it fires.
 	barrier commBarrier
-	// barriers registers every barrier of the program (the global one,
-	// split-coordination barriers, subcomm barriers) so the watchdog can
-	// poison them all when it fires; barMu guards the slice.
-	barMu    sync.Mutex
-	barriers []commBarrier
 
-	shmMu   sync.Mutex
-	shm     map[string][]float64
-	splits  map[string]*splitState
-	started time.Time
+	shmMu sync.Mutex
+	shm   map[string][]float64
 
 	// opSeq counts each rank's communication operations (sends,
 	// receives, barriers), the per-rank program order fault.Plan rank
@@ -140,23 +125,21 @@ type Comm struct {
 type pairKey struct{ src, dst int }
 
 // UE is the handle each unit of execution receives; it is only valid inside
-// the body function passed to Run.
+// the body function passed to RunWith.
 type UE struct {
-	comm *Comm
+	comm *comm
 	rank int
 }
 
-// Run starts n units of execution mapped onto cores by mapping (nil means
-// the RCCE default, rank r on core r) and runs body concurrently in each.
-// It returns after every UE finishes, joining any errors. The domains
-// argument fixes the chip clocks the power API reports and manipulates.
-func Run(n int, mapping scc.Mapping, domains scc.FreqDomains, body func(*UE) error) error {
-	return RunWith(Options{}, n, mapping, domains, body)
-}
-
-// RunWith is Run with a deadline watchdog, fault-injection plan, engine
-// selection and/or custom mesh geometry armed (see Options). With a zero
-// Options it is exactly Run.
+// RunWith starts n units of execution mapped onto cores by mapping (nil
+// means the RCCE default, rank r on core r) and runs body concurrently in
+// each, with the deadline watchdog, fault-injection plan, engine and mesh
+// geometry of opts armed (the zero Options is the paper's setup with
+// RCCE's block-forever semantics). It returns after every UE finishes,
+// joining any errors. The mapping is validated against the geometry but
+// does not change what the program computes. The domains argument is
+// unused: the power figures come from the timing simulator, not from the
+// runtime.
 func RunWith(opts Options, n int, mapping scc.Mapping, domains scc.FreqDomains, body func(*UE) error) error {
 	geom := opts.Geometry.OrDefault()
 	if err := geom.Validate(); err != nil {
@@ -177,20 +160,14 @@ func RunWith(opts Options, n int, mapping scc.Mapping, domains scc.FreqDomains, 
 	if opts.Deadline < 0 {
 		return fmt.Errorf("rcce: negative deadline %v", opts.Deadline)
 	}
-	c := &Comm{
+	c := &comm{
 		n:        n,
-		mapping:  mapping,
-		geom:     geom,
 		deadline: opts.Deadline,
 		plan:     opts.Fault,
 		rec:      opts.Recorder,
-		tileMHz:  tileClocks(geom, domains),
-		meshMHz:  domains.MeshMHz,
-		memMHz:   domains.MemMHz,
 		msgSeq:   make(map[pairKey]int),
 		shm:      make(map[string][]float64),
 		opSeq:    make([]atomic.Int64, n),
-		started:  time.Now(),
 	}
 	switch opts.Backend {
 	case BackendGoroutine:
@@ -200,47 +177,13 @@ func RunWith(opts Options, n int, mapping scc.Mapping, domains scc.FreqDomains, 
 	default:
 		return fmt.Errorf("rcce: unknown backend %v", opts.Backend)
 	}
-	c.barrier = c.newBarrier(n)
+	c.barrier = c.eng.newBarrier(n)
 	return c.eng.run(body)
-}
-
-// tileClocks spreads the FreqDomains record over the geometry's tiles:
-// real tiles take their configured clock, tiles beyond the real chip
-// (custom geometries only) start at tile 0's clock.
-func tileClocks(geom scc.Geometry, domains scc.FreqDomains) []int {
-	clocks := make([]int, geom.NumTiles())
-	for t := range clocks {
-		if t < scc.NumTiles {
-			clocks[t] = domains.TileMHz[t]
-		} else {
-			clocks[t] = domains.TileMHz[0]
-		}
-	}
-	return clocks
-}
-
-// newBarrier creates a barrier registered for watchdog poisoning.
-func (c *Comm) newBarrier(n int) commBarrier {
-	b := c.eng.newBarrier(n)
-	c.barMu.Lock()
-	c.barriers = append(c.barriers, b)
-	c.barMu.Unlock()
-	return b
-}
-
-// poisonBarriers aborts every registered barrier with err (watchdog fire).
-func (c *Comm) poisonBarriers(err error) {
-	c.barMu.Lock()
-	bars := append([]commBarrier(nil), c.barriers...)
-	c.barMu.Unlock()
-	for _, b := range bars {
-		b.poisonWith(err)
-	}
 }
 
 // nextMsgSeq returns this Send's per-pair sequence number (the identity
 // fault.Plan message matches use).
-func (c *Comm) nextMsgSeq(src, dst int) int {
+func (c *comm) nextMsgSeq(src, dst int) int {
 	c.seqMu.Lock()
 	defer c.seqMu.Unlock()
 	k := pairKey{src, dst}
@@ -254,22 +197,6 @@ func (u *UE) Rank() int { return u.rank }
 
 // NumUEs returns the number of units of execution in the program.
 func (u *UE) NumUEs() int { return u.comm.n }
-
-// Core returns the physical core this rank is mapped to.
-func (u *UE) Core() scc.CoreID { return u.comm.mapping[u.rank] }
-
-// Hops returns this UE's core-to-memory-controller distance.
-func (u *UE) Hops() int { return u.comm.geom.HopsToMC(u.Core()) }
-
-// Geometry returns the mesh geometry the program runs on.
-func (u *UE) Geometry() scc.Geometry { return u.comm.geom }
-
-// Wtime returns elapsed seconds since the program started, mirroring
-// RCCE_wtime(), which the paper uses because the SCC cores lack a
-// frequency-invariant clock. The goroutine backend reads monotonic-safe
-// wall time through the obs clock seam (a stepped wall clock can never
-// yield a negative reading); the DES backend reads the virtual clock.
-func (u *UE) Wtime() float64 { return u.comm.eng.wtime() }
 
 // preOp counts this rank's communication operation and applies any
 // injected rank fault: ActFail returns ErrInjected-wrapped failure,
@@ -325,23 +252,19 @@ func (u *UE) Send(data []byte, dst int) error {
 			return err
 		}
 	}
-	// An empty message still performs one rendezvous.
-	if len(data) == 0 {
-		if err := u.comm.eng.sendChunk(u, dst, nil); err != nil {
-			return err
-		}
-		u.comm.msgs.Add(1)
-		return nil
-	}
-	for off := 0; off < len(data); off += ChunkBytes {
-		end := off + ChunkBytes
-		if end > len(data) {
-			end = len(data)
-		}
+	// A message is a run of chunks whose last one is marked, so the
+	// receiver sees where it ends; an empty message is one empty marked
+	// chunk.
+	for off := 0; ; off += ChunkBytes {
+		end := min(off+ChunkBytes, len(data))
 		chunk := make([]byte, end-off)
 		copy(chunk, data[off:end])
-		if err := u.comm.eng.sendChunk(u, dst, chunk); err != nil {
+		last := end == len(data)
+		if err := u.comm.eng.sendChunk(u, dst, chunk, last); err != nil {
 			return err
+		}
+		if last {
+			break
 		}
 	}
 	u.comm.msgs.Add(1)
@@ -350,7 +273,9 @@ func (u *UE) Send(data []byte, dst int) error {
 }
 
 // Recv receives exactly len(buf) bytes from rank src, blocking until the
-// matching Send completes. The sizes on both sides must agree, as in RCCE.
+// matching Send completes. The sizes on both sides must agree, as in RCCE:
+// a message that ends before buf is full, or that runs past it, is a size
+// mismatch.
 func (u *UE) Recv(buf []byte, src int) error {
 	if src < 0 || src >= u.comm.n {
 		return fmt.Errorf("rcce: recv from invalid rank %d (have %d UEs)", src, u.comm.n)
@@ -361,35 +286,66 @@ func (u *UE) Recv(buf []byte, src int) error {
 	if err := u.preOp("recv", src); err != nil {
 		return err
 	}
-	if len(buf) == 0 {
-		// A zero-length receive still meets its sender for one
-		// rendezvous, but only a zero-length chunk may arrive: silently
-		// swallowing a data chunk here used to corrupt the remainder of
-		// a longer transfer.
-		chunk, err := u.comm.eng.recvChunk(u, src)
+	for off := 0; ; {
+		chunk, last, err := u.comm.eng.recvChunk(u, src)
 		if err != nil {
 			return err
 		}
-		if len(chunk) != 0 {
-			return fmt.Errorf("rcce: UE %d received %d-byte chunk into 0-byte window: size mismatch with sender %d",
-				u.rank, len(chunk), src)
-		}
-		return nil
-	}
-	off := 0
-	for off < len(buf) {
-		chunk, err := u.comm.eng.recvChunk(u, src)
-		if err != nil {
-			return err
-		}
-		if len(chunk) > len(buf)-off {
-			return fmt.Errorf("rcce: UE %d received %d-byte chunk into %d-byte window: size mismatch with sender %d",
-				u.rank, len(chunk), len(buf)-off, src)
+		end := off + len(chunk)
+		if end > len(buf) || last != (end == len(buf)) {
+			return fmt.Errorf("rcce: UE %d received a message from %d that does not fit its %d-byte window (%d bytes so far, last chunk %v): size mismatch",
+				u.rank, src, len(buf), end, last)
 		}
 		copy(buf[off:], chunk)
-		off += len(chunk)
+		off = end
+		if last {
+			return nil
+		}
+	}
+}
+
+// Barrier blocks until every UE in the program has entered it, mirroring
+// RCCE_barrier over the global communicator. It returns non-nil only when
+// the robustness layer aborts the program (deadline watchdog fired or an
+// injected rank fault hit this UE).
+func (u *UE) Barrier() error {
+	if err := u.preOp("barrier", -1); err != nil {
+		return err
+	}
+	return u.comm.barrier.wait(u, "barrier", func() { u.comm.bars.Add(1) })
+}
+
+// SendFloat64s sends a float64 slice to dst.
+func (u *UE) SendFloat64s(vals []float64, dst int) error {
+	return u.Send(float64sToBytes(vals), dst)
+}
+
+// IsendFloat64s starts a non-blocking send of a float64 slice to dst
+// (see isend); vals is encoded before it returns, so the caller may reuse
+// it at once.
+func (u *UE) IsendFloat64s(vals []float64, dst int) *Request {
+	return u.isend(float64sToBytes(vals), dst)
+}
+
+// RecvFloat64s receives exactly len(out) float64s from src.
+func (u *UE) RecvFloat64s(out []float64, src int) error {
+	buf := make([]byte, 8*len(out))
+	if err := u.Recv(buf, src); err != nil {
+		return err
+	}
+	for i := range out {
+		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
 	}
 	return nil
+}
+
+// float64sToBytes is the float64 wire encoding: little-endian IEEE 754.
+func float64sToBytes(vals []float64) []byte {
+	b := make([]byte, 8*len(vals))
+	for i, v := range vals {
+		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(v))
+	}
+	return b
 }
 
 // Stats reports the communication volume of the program so far.

@@ -13,7 +13,7 @@ import (
 
 func run(t *testing.T, n int, body func(*UE) error) {
 	t.Helper()
-	if err := Run(n, nil, scc.Uniform(scc.Conf0), body); err != nil {
+	if err := RunWith(Options{}, n, nil, scc.Uniform(scc.Conf0), body); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -28,9 +28,6 @@ func TestRunBasics(t *testing.T) {
 		if u.NumUEs() != 8 {
 			return fmt.Errorf("NumUEs = %d", u.NumUEs())
 		}
-		if u.Core() != scc.CoreID(u.Rank()) {
-			return fmt.Errorf("default mapping rank %d -> core %d", u.Rank(), u.Core())
-		}
 		return nil
 	})
 	if count.Load() != 8 {
@@ -40,23 +37,23 @@ func TestRunBasics(t *testing.T) {
 
 func TestRunValidatesArguments(t *testing.T) {
 	body := func(*UE) error { return nil }
-	if err := Run(0, nil, scc.Uniform(scc.Conf0), body); err == nil {
+	if err := RunWith(Options{}, 0, nil, scc.Uniform(scc.Conf0), body); err == nil {
 		t.Error("n=0 accepted")
 	}
-	if err := Run(49, nil, scc.Uniform(scc.Conf0), body); err == nil {
+	if err := RunWith(Options{}, 49, nil, scc.Uniform(scc.Conf0), body); err == nil {
 		t.Error("n=49 accepted")
 	}
-	if err := Run(4, scc.Mapping{0, 1}, scc.Uniform(scc.Conf0), body); err == nil {
+	if err := RunWith(Options{}, 4, scc.Mapping{0, 1}, scc.Uniform(scc.Conf0), body); err == nil {
 		t.Error("short mapping accepted")
 	}
-	if err := Run(2, scc.Mapping{0, 0}, scc.Uniform(scc.Conf0), body); err == nil {
+	if err := RunWith(Options{}, 2, scc.Mapping{0, 0}, scc.Uniform(scc.Conf0), body); err == nil {
 		t.Error("duplicate mapping accepted")
 	}
 }
 
 func TestRunCollectsErrors(t *testing.T) {
 	sentinel := errors.New("rank failure")
-	err := Run(4, nil, scc.Uniform(scc.Conf0), func(u *UE) error {
+	err := RunWith(Options{}, 4, nil, scc.Uniform(scc.Conf0), func(u *UE) error {
 		if u.Rank() == 2 {
 			return sentinel
 		}
@@ -68,7 +65,7 @@ func TestRunCollectsErrors(t *testing.T) {
 }
 
 func TestRunRecoversPanics(t *testing.T) {
-	err := Run(2, nil, scc.Uniform(scc.Conf0), func(u *UE) error {
+	err := RunWith(Options{}, 2, nil, scc.Uniform(scc.Conf0), func(u *UE) error {
 		if u.Rank() == 1 {
 			panic("boom")
 		}
@@ -226,32 +223,137 @@ func TestStatsCount(t *testing.T) {
 	})
 }
 
-func TestWtimeAdvances(t *testing.T) {
-	run(t, 1, func(u *UE) error {
-		a := u.Wtime()
-		for i := 0; i < 1000; i++ {
-			_ = math.Sqrt(float64(i))
+func TestCustomMapping(t *testing.T) {
+	// A valid custom mapping runs every rank; one naming a core outside
+	// the geometry is rejected before any UE starts.
+	var count atomic.Int32
+	err := RunWith(Options{}, 4, scc.DistanceReductionMapping(4), scc.Uniform(scc.Conf0), func(u *UE) error {
+		count.Add(1)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if count.Load() != 4 {
+		t.Fatalf("%d UEs ran, want 4", count.Load())
+	}
+	if err := RunWith(Options{}, 2, scc.Mapping{0, 48}, scc.Uniform(scc.Conf0), func(*UE) error { return nil }); err == nil {
+		t.Error("mapping onto core 48 of a 48-core chip accepted")
+	}
+}
+
+func TestSendRecvFloat64s(t *testing.T) {
+	// The blocking and the non-blocking float64 sends share one wire
+	// encoding.
+	vals := []float64{math.Pi, -1.5, 0, math.Inf(1)}
+	run(t, 2, func(u *UE) error {
+		if u.Rank() == 0 {
+			if err := u.SendFloat64s(vals, 1); err != nil {
+				return err
+			}
+			return u.IsendFloat64s(vals, 1).Wait()
 		}
-		b := u.Wtime()
-		if b < a {
-			return errors.New("wtime went backwards")
+		for round := 0; round < 2; round++ {
+			out := make([]float64, len(vals))
+			if err := u.RecvFloat64s(out, 0); err != nil {
+				return err
+			}
+			for i := range vals {
+				if out[i] != vals[i] {
+					return fmt.Errorf("round %d: out = %v", round, out)
+				}
+			}
 		}
 		return nil
 	})
 }
 
-func TestCustomMapping(t *testing.T) {
-	m := scc.DistanceReductionMapping(4)
-	err := Run(4, m, scc.Uniform(scc.Conf0), func(u *UE) error {
-		if u.Core() != m[u.Rank()] {
-			return fmt.Errorf("rank %d on core %d, want %d", u.Rank(), u.Core(), m[u.Rank()])
+func TestShmallocShared(t *testing.T) {
+	run(t, 4, func(u *UE) error {
+		s, err := u.Shmalloc("x", 4)
+		if err != nil {
+			return err
 		}
-		if u.Hops() != 0 {
-			return fmt.Errorf("distance-reduced rank %d has %d hops", u.Rank(), u.Hops())
+		s[u.Rank()] = float64(u.Rank() + 1)
+		u.Barrier()
+		for i := 0; i < 4; i++ {
+			if s[i] != float64(i+1) {
+				return fmt.Errorf("rank %d sees shm %v", u.Rank(), s)
+			}
+		}
+		u.Barrier()
+		// Size conflict must error.
+		if _, err := u.Shmalloc("x", 8); err == nil {
+			return errors.New("conflicting shmalloc accepted")
+		}
+		if _, err := u.Shmalloc("neg", -1); err == nil {
+			return errors.New("negative shmalloc accepted")
 		}
 		return nil
 	})
+}
+
+// TestRCCEParallelSpMV runs the paper's actual communication pattern: x in
+// shared memory, row-partitioned SpMV, gather of y at rank 0 - verifying
+// the runtime supports the kernel end to end.
+func TestRCCEParallelSpMV(t *testing.T) {
+	const n, ues = 64, 4
+	// A small deterministic matrix (dense rows to keep it simple).
+	a := make([][]float64, n)
+	for i := range a {
+		a[i] = make([]float64, n)
+		for j := range a[i] {
+			a[i][j] = float64((i*j)%7) - 3
+		}
+	}
+	x := make([]float64, n)
+	for i := range x {
+		x[i] = float64(i%5) + 0.5
+	}
+	want := make([]float64, n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			want[i] += a[i][j] * x[j]
+		}
+	}
+
+	got := make([]float64, n)
+	err := RunWith(Options{}, ues, nil, scc.Uniform(scc.Conf0), func(u *UE) error {
+		shx, err := u.Shmalloc("x", n)
+		if err != nil {
+			return err
+		}
+		if u.Rank() == 0 {
+			copy(shx, x)
+		}
+		u.Barrier()
+		lo := u.Rank() * n / ues
+		hi := (u.Rank() + 1) * n / ues
+		part := make([]float64, hi-lo)
+		for i := lo; i < hi; i++ {
+			for j := 0; j < n; j++ {
+				part[i-lo] += a[i][j] * shx[j]
+			}
+		}
+		if u.Rank() == 0 {
+			copy(got[lo:hi], part)
+			tmp := make([]float64, n/ues)
+			for r := 1; r < ues; r++ {
+				if err := u.RecvFloat64s(tmp, r); err != nil {
+					return err
+				}
+				copy(got[r*n/ues:], tmp)
+			}
+			return nil
+		}
+		return u.SendFloat64s(part, 0)
+	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	for i := range want {
+		if math.Abs(got[i]-want[i]) > 1e-9 {
+			t.Fatalf("y[%d] = %v, want %v", i, got[i], want[i])
+		}
 	}
 }

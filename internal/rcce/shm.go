@@ -1,10 +1,6 @@
 package rcce
 
-import (
-	"fmt"
-
-	"repro/internal/scc"
-)
+import "fmt"
 
 // Shared memory. A part of the SCC's main memory is mapped into every
 // core; RCCE exposes it through RCCE_shmalloc. Because the chip has no
@@ -35,62 +31,4 @@ func (u *UE) Shmalloc(name string, n int) ([]float64, error) {
 	s := make([]float64, n)
 	c.shm[name] = s
 	return s, nil
-}
-
-// ShmFree releases the shared allocation registered under name.
-func (u *UE) ShmFree(name string) {
-	c := u.comm
-	c.shmMu.Lock()
-	defer c.shmMu.Unlock()
-	delete(c.shm, name)
-}
-
-// Power management. RCCE exposes the voltage/frequency controller; the
-// paper's Section IV-D uses it to step tiles between 100 and 800 MHz.
-// These methods adjust the Comm's frequency-domain record, which the power
-// model (scc.FullSystemPower) and the timing simulator consume.
-
-// SetTileMHz sets this UE's tile clock, affecting every core on the tile.
-func (u *UE) SetTileMHz(mhz int) error {
-	if mhz < 100 || mhz > 800 {
-		return fmt.Errorf("rcce: tile clock %d MHz outside [100, 800]", mhz)
-	}
-	tile := u.comm.geom.TileOf(u.Core())
-	u.comm.domMu.Lock()
-	u.comm.tileMHz[tile] = mhz
-	u.comm.domMu.Unlock()
-	return nil
-}
-
-// TileMHz returns this UE's current tile clock.
-func (u *UE) TileMHz() int {
-	tile := u.comm.geom.TileOf(u.Core())
-	u.comm.domMu.Lock()
-	defer u.comm.domMu.Unlock()
-	return u.comm.tileMHz[tile]
-}
-
-// Domains returns a snapshot of the chip's frequency domains. The record
-// describes the real chip's 24 tiles: on the default geometry it is a
-// faithful round-trip of the clocks Run was given plus any SetTileMHz
-// adjustments; on custom geometries only the first 24 tiles are reported
-// (the power model below is anchored to the real chip's measurements).
-func (u *UE) Domains() scc.FreqDomains {
-	u.comm.domMu.Lock()
-	defer u.comm.domMu.Unlock()
-	d := scc.FreqDomains{MeshMHz: u.comm.meshMHz, MemMHz: u.comm.memMHz}
-	for t := range d.TileMHz {
-		if t < len(u.comm.tileMHz) {
-			d.TileMHz[t] = u.comm.tileMHz[t]
-		} else {
-			d.TileMHz[t] = u.comm.tileMHz[0]
-		}
-	}
-	return d
-}
-
-// SystemPower returns the modelled full-system power under the current
-// frequency domains.
-func (u *UE) SystemPower() float64 {
-	return scc.FullSystemPower(u.Domains())
 }

@@ -18,7 +18,7 @@ type BlockedOp struct {
 	Rank int
 	Op   string
 	// Peer is the counterpart rank of a point-to-point op; -1 for
-	// barriers and collectives with no single peer.
+	// barriers.
 	Peer int
 	// For is how long the op had been blocked when the watchdog fired.
 	For time.Duration
@@ -38,8 +38,23 @@ func (b BlockedOp) String() string {
 type DeadlockError struct {
 	// Deadline is the per-operation bound that was exceeded.
 	Deadline time.Duration
-	// Blocked lists the stuck operations, sorted by rank.
+	// Blocked lists the stuck operations, sorted by rank, op and peer.
 	Blocked []BlockedOp
+}
+
+// sortBlocked puts a report in the order both engines give it; ties keep
+// their order.
+func sortBlocked(ops []BlockedOp) {
+	sort.SliceStable(ops, func(i, j int) bool {
+		a, b := ops[i], ops[j]
+		if a.Rank != b.Rank {
+			return a.Rank < b.Rank
+		}
+		if a.Op != b.Op {
+			return a.Op < b.Op
+		}
+		return a.Peer < b.Peer
+	})
 }
 
 func (e *DeadlockError) Error() string {
@@ -52,20 +67,11 @@ func (e *DeadlockError) Error() string {
 	return b.String()
 }
 
-// BlockedRanks returns the sorted ranks named by the error.
-func (e *DeadlockError) BlockedRanks() []int {
-	ranks := make([]int, len(e.Blocked))
-	for i, op := range e.Blocked {
-		ranks[i] = op.Rank
-	}
-	return ranks
-}
-
 // watchdog observes the goroutine backend's blocked communication
 // operations and aborts the whole program when any single op stays
 // blocked past the deadline. Channel waiters observe the abort by
-// selecting on `aborted`; barrier waiters are woken by poisoning every
-// registered barrier (the poison callback). The DES backend has no
+// selecting on `aborted`; barrier waiters are woken by poisoning the
+// program's barrier (the poison callback). The DES backend has no
 // watchdog goroutine: its deadline checks are virtual-time events.
 type watchdog struct {
 	deadline time.Duration
@@ -73,14 +79,15 @@ type watchdog struct {
 	poison   func(error)
 
 	mu      sync.Mutex
-	blocked map[int]*blockedEntry // rank -> the op it is inside
+	blocked map[*blockedEntry]struct{} // every op now blocked
 	derr    *DeadlockError
 
 	aborted chan struct{} // closed exactly once, when the deadline fires
-	stop    chan struct{} // closed by halt() when Run finishes first
+	stop    chan struct{} // closed by halt() when the program finishes first
 }
 
 type blockedEntry struct {
+	rank  int
 	op    string
 	peer  int
 	since time.Time
@@ -91,26 +98,30 @@ func newWatchdog(deadline time.Duration, rec *obs.Recorder, poison func(error)) 
 		deadline: deadline,
 		rec:      rec,
 		poison:   poison,
-		blocked:  map[int]*blockedEntry{},
+		blocked:  map[*blockedEntry]struct{}{},
 		aborted:  make(chan struct{}),
 		stop:     make(chan struct{}),
 	}
 }
 
-// enter registers the rank as blocked inside op. A rank runs one
-// goroutine, so it has at most one blocked op at a time; re-entering
-// (e.g. per chunk of a long message) refreshes the block timestamp, which
-// makes the deadline a per-rendezvous bound rather than a per-message one.
-func (w *watchdog) enter(rank int, op string, peer int) {
+// enter registers an op of the rank as blocked and returns the entry
+// leave clears. Each blocking call has its own entry, so a rank's UE and
+// its in-flight isends never hide one another: a finished isend must not
+// clear its UE's still-blocked receive, or the deadline could never fire.
+// Each chunk of a long message is its own call, which makes the deadline
+// a per-rendezvous bound rather than a per-message one.
+func (w *watchdog) enter(rank int, op string, peer int) *blockedEntry {
+	e := &blockedEntry{rank: rank, op: op, peer: peer, since: time.Now()}
 	w.mu.Lock()
-	w.blocked[rank] = &blockedEntry{op: op, peer: peer, since: time.Now()}
+	w.blocked[e] = struct{}{}
 	w.mu.Unlock()
+	return e
 }
 
-// leave clears the rank's blocked record.
-func (w *watchdog) leave(rank int) {
+// leave clears one entry enter returned.
+func (w *watchdog) leave(e *blockedEntry) {
 	w.mu.Lock()
-	delete(w.blocked, rank)
+	delete(w.blocked, e)
 	w.mu.Unlock()
 }
 
@@ -124,7 +135,7 @@ func (w *watchdog) err() error {
 	return w.derr
 }
 
-// halt stops the scan loop; called when Run's UEs all returned.
+// halt stops the scan loop; called when the program's UEs all returned.
 func (w *watchdog) halt() { close(w.stop) }
 
 // run is the scan loop. It polls at a fraction of the deadline so a wedge
@@ -155,7 +166,7 @@ func (w *watchdog) scan() bool {
 	w.mu.Lock()
 	blocked := len(w.blocked)
 	overdue := false
-	for _, e := range w.blocked {
+	for e := range w.blocked {
 		if now.Sub(e.since) >= w.deadline {
 			overdue = true
 			break
@@ -170,10 +181,10 @@ func (w *watchdog) scan() bool {
 		return false
 	}
 	derr := &DeadlockError{Deadline: w.deadline}
-	for rank, e := range w.blocked {
-		derr.Blocked = append(derr.Blocked, BlockedOp{Rank: rank, Op: e.op, Peer: e.peer, For: now.Sub(e.since)})
+	for e := range w.blocked {
+		derr.Blocked = append(derr.Blocked, BlockedOp{Rank: e.rank, Op: e.op, Peer: e.peer, For: now.Sub(e.since)})
 	}
-	sort.Slice(derr.Blocked, func(i, j int) bool { return derr.Blocked[i].Rank < derr.Blocked[j].Rank })
+	sortBlocked(derr.Blocked)
 	w.derr = derr
 	w.mu.Unlock()
 

@@ -1,9 +1,7 @@
 package spmv
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 	"sort"
 
 	"repro/internal/partition"
@@ -146,7 +144,7 @@ func DistRCCE(a *sparse.CSR, x []float64, ues int, scheme partition.Scheme, mapp
 	}
 
 	out := &DistResult{Y: make([]float64, a.Rows), Volume: plan.Volume()}
-	err = rcce.Run(ues, mapping, scc.Uniform(scc.Conf0), func(u *rcce.UE) error {
+	err = rcce.RunWith(rcce.Options{}, ues, mapping, scc.Uniform(scc.Conf0), func(u *rcce.UE) error {
 		me := u.Rank()
 		// Local x fragment: a map from global index to value, seeded
 		// with the owned block (each UE gets only its own x values).
@@ -167,19 +165,17 @@ func DistRCCE(a *sparse.CSR, x []float64, ues int, scheme partition.Scheme, mapp
 			for i, c := range idx {
 				payload[i] = local[c]
 			}
-			buf := float64sPayload(payload)
-			sends = append(sends, u.Isend(buf, v))
+			sends = append(sends, u.IsendFloat64s(payload, v))
 		}
 		for v := 0; v < ues; v++ {
 			idx := plan.SendIdx[v][me] // what v sends me
 			if len(idx) == 0 {
 				continue
 			}
-			buf := make([]byte, 8*len(idx))
-			if err := u.Recv(buf, v); err != nil {
+			vals := make([]float64, len(idx))
+			if err := u.RecvFloat64s(vals, v); err != nil {
 				return err
 			}
-			vals := payloadFloat64s(buf)
 			for i, c := range idx {
 				local[c] = vals[i]
 			}
@@ -230,22 +226,4 @@ func DistRCCE(a *sparse.CSR, x []float64, ues int, scheme partition.Scheme, mapp
 		return nil, err
 	}
 	return out, nil
-}
-
-// float64sPayload and payloadFloat64s encode float64 slices as little-
-// endian byte payloads for Isend/Recv.
-func float64sPayload(vals []float64) []byte {
-	b := make([]byte, 8*len(vals))
-	for i, v := range vals {
-		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(v))
-	}
-	return b
-}
-
-func payloadFloat64s(b []byte) []float64 {
-	out := make([]float64, len(b)/8)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
-	}
-	return out
 }
