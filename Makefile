@@ -103,7 +103,8 @@ des-smoke:
 # MatrixMarket parser, the generator's row builder against its original
 # sort-based flush, the sccsimd job canonicaliser, the mesh geometry
 # parser, the -pricing and -engine flag parsers, the cache hierarchy's
-# captured warm-up and timed laps against two plain laps, and generated
+# captured warm-up and timed laps against two plain laps, the entries
+# those laps list as sent below the L1 against a per-access L1, and generated
 # RCCE programs run on both engines, which must agree. A crasher is
 # written under the package's testdata/fuzz and fails the target.
 fuzz-smoke:
@@ -114,6 +115,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePricing$$' -fuzztime 10s ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzParseBackend$$' -fuzztime 10s ./internal/rcce
 	$(GO) test -run '^$$' -fuzz '^FuzzReplayTimedLap$$' -fuzztime 10s ./internal/cache
+	$(GO) test -run '^$$' -fuzz '^FuzzTimedLapReached$$' -fuzztime 10s ./internal/cache
 	$(GO) test -run '^$$' -fuzz '^FuzzEnginesAgree$$' -fuzztime 10s ./internal/rcce
 
 # serve-smoke proves the sccsimd job daemon end to end: an in-process

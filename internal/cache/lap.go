@@ -15,7 +15,10 @@ import (
 // rest of the timed lap only has to run the level below the L1 over the
 // entries that reached it. WarmUpLines captures those entries and the L1
 // at every checkpoint; TimedLines looks for the first checkpoint where its
-// L1 matches (Cache.matchState) and replays only the captured rest.
+// L1 matches (Cache.matchState) and replays only the captured rest. Up to
+// that checkpoint it captures its own entries over the warm-up's, so that
+// afterwards the capture describes the timed lap and Reached can list
+// what that lap sent below the L1.
 
 // checkpointEntries is the spacing, in record entries, of the L1 states
 // the warm-up lap keeps. A checkpoint packs the L1 in one uint32 per way:
@@ -26,8 +29,12 @@ const checkpointEntries = 2048
 // lapCapture is the warm-up lap's capture. Its buffers stay with the
 // hierarchy, so a hierarchy reused across records reuses them too.
 type lapCapture struct {
-	// ops is the record the capture describes; nil when there is none.
+	// ops is the record whose latest lap the capture describes; nil when
+	// there is none.
 	ops []uint32
+	// warm is set while that lap is ops' warm-up, which a TimedLines(ops)
+	// may skip from.
+	warm bool
 	// reached has bit i set when entry i of ops reached below the L1, and
 	// forwarded when it did so as a store hit rather than a demand miss:
 	// 2 bits per entry.
@@ -63,7 +70,7 @@ func (h *Hierarchy) WarmUpLines(ops []uint32) {
 		lap.states = h.L1.appendState(lap.states)
 		access[warmLap](h, ops[from:min(from+checkpointEntries, len(ops))], false, from)
 	}
-	lap.ops = ops
+	lap.ops, lap.warm = ops, true
 }
 
 // zeroed returns n zero words, in buf when it holds them.
@@ -96,20 +103,22 @@ func (h *Hierarchy) captures(ops []uint32) bool {
 // TimedLines runs ops with exactly the effect of AccessLines(ops). When the
 // hierarchy's last lap was WarmUpLines(ops), with nothing run since, it
 // runs the L1 only up to the first checkpoint where it matches the warm-up
-// lap's L1. From there it adds the warm-up's L1 outcomes, runs the level
-// below the L1 over the entries the warm-up captured, and leaves the L1 as
-// the two plain laps would: equivalent to where the timed lap started.
+// lap's L1, capturing its entries there over the warm-up's. From there it
+// adds the warm-up's L1 outcomes, runs the level below the L1 over the
+// entries the warm-up captured, and leaves the L1 as the two plain laps
+// would: equivalent to where the timed lap started. The capture then
+// describes the timed lap.
 func (h *Hierarchy) TimedLines(ops []uint32) { h.timedLines(ops) }
 
 // timedLines is TimedLines; it returns the entry before which the L1
 // matched, or -1 when the lap ran in full.
 func (h *Hierarchy) timedLines(ops []uint32) (matched int) {
 	lap := &h.lap
-	if lap.ops == nil || len(ops) != len(lap.ops) || len(ops) > 0 && &ops[0] != &lap.ops[0] {
+	if !lap.warm || !sameRecord(ops, lap.ops) {
 		h.AccessLines(ops)
 		return -1
 	}
-	lap.ops = nil
+	lap.warm = false
 	l1 := h.L1
 	lap.lines, lap.plru = append(lap.lines[:0], l1.lines...), append(lap.plru[:0], l1.plru...)
 	words := len(l1.lines)
@@ -118,9 +127,42 @@ func (h *Hierarchy) timedLines(ops []uint32) (matched int) {
 			h.replayTail(ops, from)
 			return from
 		}
-		access[plainLap](h, ops[from:min(from+checkpointEntries, len(ops))], false, 0)
+		// A checkpoint starts a bitmap word, so the block's words are its
+		// own.
+		to := min(from+checkpointEntries, len(ops))
+		clear(lap.reached[from/64 : (to+63)/64])
+		clear(lap.forwarded[from/64 : (to+63)/64])
+		access[warmLap](h, ops[from:to], false, from)
 	}
 	return -1
+}
+
+// sameRecord reports whether a and b are one record: the same entries at
+// the same address. A nil record is no record, not even an empty one.
+func sameRecord(a, b []uint32) bool {
+	return a != nil && b != nil && len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
+}
+
+// Reached calls fn, in record order, with the index of every entry of ops
+// that the hierarchy's latest lap sent below the L1, and with forwarded
+// set when it went as a store hit rather than as an L1 miss. That lap must
+// be WarmUpLines(ops), or the TimedLines(ops) after it, with nothing run
+// since. Reached panics otherwise, and when that lap captured nothing
+// (see WarmUpLines); an empty record reaches nothing.
+func (h *Hierarchy) Reached(ops []uint32, fn func(i int, forwarded bool)) {
+	lap := &h.lap
+	if len(ops) == 0 {
+		return
+	}
+	if !sameRecord(ops, lap.ops) {
+		panic("cache: Reached needs the record of the hierarchy's latest captured lap")
+	}
+	for wi, word := range lap.reached {
+		for fwd := lap.forwarded[wi]; word != 0; word &= word - 1 {
+			b := bits.TrailingZeros64(word)
+			fn(wi*64+b, fwd>>b&1 != 0)
+		}
+	}
 }
 
 // replayTail finishes a timed lap whose L1 matched the warm-up's before

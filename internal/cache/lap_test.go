@@ -3,6 +3,7 @@ package cache
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -300,4 +301,111 @@ func FuzzReplayTimedLap(f *testing.F) {
 		}
 		checkLaps(t, func() *Hierarchy { return lapHierarchy(l1, l2, withL2, false) }, warm, ops)
 	})
+}
+
+// reachedEntry is one record entry sent below the L1: its index, and
+// whether it went as a forwarded store hit rather than as an L1 miss.
+type reachedEntry struct {
+	i         int
+	forwarded bool
+}
+
+// reachedSeeds are FuzzTimedLapReached's seed inputs: records whose timed
+// lap matches the warm-up's L1 at the first checkpoint, mid-record, and
+// never (TestTimedLapReachedSeeds).
+var reachedSeeds = []struct {
+	pattern, start []byte
+	n              uint16
+	again, withL2  bool
+	matched        string
+}{
+	{[]byte{0, 2, 5, 6}, nil, uint16(3 * checkpointEntries), true, false, "first"},
+	{[]byte{0, 2, 4, 9, 16, 33, 64, 2, 130}, []byte{7, 9}, uint16(3 * checkpointEntries), false, true, "mid"},
+	{[]byte{1, 2, 3, 200}, []byte{5}, 100, false, false, "never"},
+}
+
+// runReachedLaps builds a record from pattern like FuzzReplayTimedLap and
+// an L1 start state from the record start (op = byte), plus the record
+// itself when again is set, on a 4-set, 4-way L1 with or without an L2.
+// It runs a captured warm-up and timed lap and returns what Reached lists
+// after each, where the timed lap matched, and the same lists from a plain
+// L1 that runs every access of the two laps through Access.
+func runReachedLaps(pattern, start []byte, n uint16, again, withL2 bool) (got, want [2][]reachedEntry, matched int) {
+	ops := make([]uint32, int(n)%(4*checkpointEntries))
+	for i := range ops {
+		ops[i] = uint32(pattern[i%len(pattern)]) ^ uint32(i/len(pattern)%5)<<2
+	}
+	pre := make([]uint32, len(start))
+	for i, b := range start {
+		pre[i] = uint32(b)
+	}
+	if again {
+		pre = append(pre, ops...)
+	}
+	l1 := Config{SizeBytes: 32 * 4 * 4, LineBytes: 32, Ways: 4}
+	l2 := Config{SizeBytes: 32 * 4 * 16, LineBytes: 32, Ways: 4, WriteBack: true}
+	h, ref := lapHierarchy(l1, l2, withL2, false), New(l1)
+	h.AccessLines(pre)
+	for _, op := range pre {
+		ref.Access(uint64(op>>1)*32, op&1 != 0)
+	}
+	for lap := range got {
+		if lap == 0 {
+			h.WarmUpLines(ops)
+		} else {
+			matched = h.timedLines(ops)
+		}
+		h.Reached(ops, func(i int, forwarded bool) {
+			got[lap] = append(got[lap], reachedEntry{i, forwarded})
+		})
+		for i, op := range ops {
+			if r := ref.Access(uint64(op>>1)*32, op&1 != 0); !r.Hit || r.WroteThrough {
+				want[lap] = append(want[lap], reachedEntry{i, r.Hit})
+			}
+		}
+	}
+	return got, want, matched
+}
+
+// FuzzTimedLapReached checks Reached against a plain per-access L1 run:
+// after WarmUpLines and after the TimedLines that follows it, the entries
+// it lists, and their forwarded flags, must be those the plain run of that
+// lap sends below its L1, from a fuzzed record and L1 start state.
+func FuzzTimedLapReached(f *testing.F) {
+	for _, s := range reachedSeeds {
+		f.Add(s.pattern, s.start, s.n, s.again, s.withL2)
+	}
+	f.Fuzz(func(t *testing.T, pattern, start []byte, n uint16, again, withL2 bool) {
+		if len(pattern) == 0 {
+			return
+		}
+		got, want, matched := runReachedLaps(pattern, start, n, again, withL2)
+		for lap, name := range []string{"warm-up", "timed"} {
+			if !slices.Equal(got[lap], want[lap]) {
+				t.Fatalf("%s lap (timed lap matched at %d): Reached lists %d entries, a plain L1 sends %d below\ngot  %v\nwant %v",
+					name, matched, len(got[lap]), len(want[lap]), got[lap], want[lap])
+			}
+		}
+	})
+}
+
+// TestTimedLapReachedSeeds holds FuzzTimedLapReached's seeds to the cases
+// they are named for: the timed lap's L1 matches at entry 0, at a later
+// checkpoint, and at none.
+func TestTimedLapReachedSeeds(t *testing.T) {
+	for _, s := range reachedSeeds {
+		_, _, matched := runReachedLaps(s.pattern, s.start, s.n, s.again, s.withL2)
+		var ok bool
+		switch s.matched {
+		case "first":
+			ok = matched == 0
+		case "mid":
+			ok = matched > 0
+		case "never":
+			ok = matched == -1
+		}
+		if !ok {
+			t.Errorf("seed %v: timed lap matched at %d, want %s", s.pattern, matched, s.matched)
+		}
+	}
 }

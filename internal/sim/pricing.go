@@ -14,13 +14,18 @@ package sim
 // replacement, or no L2 at all). Profiles persist in the experiments
 // matrix cache keyed by exact matrix content, so a geometry sweep walks
 // each (matrix, partition) cell once and prices N configurations from it.
+// The build walks each rank on a pool worker's reused walker: the L1 alone
+// runs the record's two laps, and the entries each lap sent below it
+// (cache.Hierarchy.Reached) feed the analyzer.
 //
 // Tree pseudo-LRU (the SCC's real policy) is not a stack algorithm, so
 // PLRU geometries cannot be priced exactly from a stack profile. Auto mode
 // therefore never selects the analytic path for a PLRU L2 - output never
 // changes under auto - while forced analytic mode prices PLRU as if it
 // were LRU, a clearly-labelled bounded-error approximation (see DESIGN.md
-// and TestAnalyticPLRUBoundedError).
+// and TestAnalyticPLRUBoundedError). Auto does not select it for a machine
+// with no L2 either: that profile is exact but prices one geometry only,
+// and costs more to build than the walk it replaces.
 
 import (
 	"fmt"
@@ -38,11 +43,12 @@ import (
 type Pricing int
 
 const (
-	// PricingAuto (the default) uses the analytic path only when it is
-	// provably identical to the exact walk AND a profile store that can
-	// retain profiles is available (a zero-budget store would force a
-	// fresh trace per cell); otherwise it runs the exact simulator.
-	// Output is always bit-identical to PricingExact.
+	// PricingAuto (the default) uses the analytic path only for a
+	// TrueLRU L2, where it is provably identical to the exact walk, AND
+	// when a profile store that can retain profiles is available (a
+	// zero-budget store would force a fresh trace per cell); otherwise,
+	// a machine with no L2 included, it runs the exact simulator. Output
+	// is always bit-identical to PricingExact.
 	PricingAuto Pricing = iota
 	// PricingExact always runs the per-access hierarchy walk.
 	PricingExact
@@ -134,30 +140,26 @@ func (m *Machine) analyticBlocker(xProvided bool) string {
 	return ""
 }
 
-// analyticExact reports whether the analytic path reproduces the exact
-// simulator bit-for-bit: LRU's stack property must hold at the L2 (TrueLRU
-// replacement), or there must be no L2 to model at all.
-func (m *Machine) analyticExact() bool {
-	return !m.WithL2 || m.l2Config().Replacement == cache.TrueLRU
-}
-
 // usesAnalytic resolves the Pricing knob for this run. Auto only goes
-// analytic when the result is provably identical to the exact walk and a
-// profile store exists to amortise the trace; forced analytic errors when
-// the run is structurally unpriceable.
+// analytic for a TrueLRU L2, where the result is provably identical to the
+// exact walk, and when a profile store exists to amortise the trace; forced
+// analytic errors when the run is structurally unpriceable.
 func (m *Machine) usesAnalytic(opts *Options, xProvided bool) (bool, error) {
 	switch opts.Pricing {
 	case PricingExact:
 		return false, nil
 	case PricingAuto:
-		// The store must actually RETAIN profiles, not merely exist: with
-		// memoisation disabled (-cachemb 0, or a zero blob budget) PutBlob
-		// is a no-op, so going analytic would silently rebuild the reuse
-		// profile for every sweep cell - strictly slower than the exact
-		// walk it replaces. Auto stays exact there; forcing PricingAnalytic
-		// against a non-retaining store remains available (each call then
-		// knowingly builds a throwaway profile).
-		return opts.Profiles.RetainsBlobs() && m.analyticExact() && m.analyticBlocker(xProvided) == "", nil
+		// Pricing is exact without an L2 too, but such a profile prices
+		// one geometry, the L1 alone, and building it costs more than the
+		// walk it replaces, so auto walks. The store must actually RETAIN
+		// profiles, not merely exist: with memoisation disabled (-cachemb
+		// 0, or a zero blob budget) PutBlob is a no-op, so going analytic
+		// would silently rebuild the reuse profile for every sweep cell -
+		// strictly slower than the exact walk it replaces. Auto stays exact
+		// there; forcing PricingAnalytic remains available in both cases
+		// (each call then knowingly builds a throwaway profile).
+		return m.WithL2 && m.l2Config().Replacement == cache.TrueLRU &&
+			opts.Profiles.RetainsBlobs() && m.analyticBlocker(xProvided) == "", nil
 	case PricingAnalytic:
 		if reason := m.analyticBlocker(xProvided); reason != "" {
 			return false, fmt.Errorf("sim: analytic pricing unavailable: %s", reason)
@@ -173,11 +175,9 @@ func (m *Machine) usesAnalytic(opts *Options, xProvided bool) (bool, error) {
 // independent arithmetic results (compute cycles, nnz, owned y values) so
 // pricing a new geometry re-runs nothing.
 type ueProfile struct {
-	// Timed-pass access counts: total probes, L1 hits, and the L1-to-L2
-	// stream split by kind (L1 read misses, L1 store misses, forwarded
-	// write-through store hits).
-	accesses, l1Hits                     uint64
-	demandReads, demandStores, fwdStores uint64
+	// l1 is the timed pass on the L1 alone: accesses, L1 hits, and the
+	// L1-to-L2 stream as a machine with no L2 counts it.
+	l1 cache.HierarchyStats
 	// sets prices any covered L2 geometry over the stream.
 	sets trace.SetProfile
 	// compute and nnz are the timed pass's arithmetic outcome; y holds
@@ -215,68 +215,50 @@ func profileKey(a *sparse.CSR, opts *Options) string {
 		profileSetConfig.MinSetsLog2, profileSetConfig.MaxSetsLog2, profileSetConfig.MaxWays)
 }
 
-// profileProber drives the fixed L1 and feeds the surviving L1-to-L2
-// stream into the multi-geometry analyzer, classifying each access the
-// way cache.Hierarchy would (see hierarchy.go): L1 read misses and store
-// misses are demand L2 accesses, write-through store hits are forwarded
-// stores. The SCC L1 is write-through, so it never writes back victims.
-type profileProber struct {
-	l1 *cache.Cache
-	sa *trace.SetAnalyzer
-
-	accesses, l1Hits                     uint64
-	demandReads, demandStores, fwdStores uint64
+// newProfileWalker makes a profile build's walker: the SCC L1 alone, with
+// no L2, and an analyzer of the persisted bounds.
+func newProfileWalker() *walker {
+	return &walker{h: cache.NewSCCHierarchy(false), sa: trace.NewSetAnalyzer(profileSetConfig)}
 }
 
-// replay runs one recorded pass through the L1 and the analyzer; hits
-// counts the loads the record dropped as L1-MRU re-reads, L1 hits that
-// reach neither the L1's state nor the analyzer. Counts cover the timed
-// pass only, while L1 and stack state carry over from the warm-up.
-func (p *profileProber) replay(ops []uint32, hits uint64, timed bool) {
-	p.sa.SetRecording(timed)
-	var l1Hits, demandReads, demandStores, fwdStores uint64
-	for _, op := range ops {
-		line, write := uint64(op>>1), op&1 != 0
-		r1 := p.l1.Access(line<<lineShift, write)
-		switch {
-		case r1.Hit && r1.WroteThrough:
-			l1Hits++
-			fwdStores++
-			p.sa.Touch(line, trace.ForwardedStore)
-		case r1.Hit:
-			l1Hits++
-		case r1.WroteThrough:
-			demandStores++
-			p.sa.Touch(line, trace.DemandStore)
-		default:
-			demandReads++
-			p.sa.Touch(line, trace.DemandRead)
+// profileRank walks rank's pass on w and returns its profile. Each lap of
+// the record runs on the L1 alone (WarmUpLines, then TimedLines), and the
+// entries it sent below the L1 (Hierarchy.Reached) feed the analyzer in
+// record order, classified the way cache.Hierarchy charges them: L1 read
+// misses and store misses are demand L2 accesses, write-through store hits
+// are forwarded stores. The analyzer records the timed lap only, and the
+// L1's counts cover it alone. A ColdCache pass has no warm-up, so its one
+// lap is a WarmUpLines. The record may drop L1-MRU re-reads: analytic
+// pricing runs without the prefetcher.
+func profileRank(opts *Options, k *kernel, rank int, w *walker, y []float64, rows []int32) (up ueProfile, ok bool) {
+	h, sa := w.h, w.sa
+	compute, nnz, ok := walkRank(opts, k, rank, &w.rec, true, func(ops []uint32, hits uint64, timed bool) {
+		sa.SetRecording(timed)
+		h.ResetStats()
+		if timed && !opts.ColdCache {
+			h.TimedLines(ops)
+		} else {
+			h.WarmUpLines(ops)
 		}
+		h.HitMRU(hits)
+		h.Reached(ops, func(i int, forwarded bool) {
+			kind := trace.DemandRead
+			if forwarded {
+				kind = trace.ForwardedStore
+			} else if ops[i]&1 != 0 {
+				kind = trace.DemandStore
+			}
+			sa.Touch(uint64(ops[i]>>1), kind)
+		})
+	})
+	if !ok {
+		return ueProfile{}, false
 	}
-	if timed {
-		p.accesses, p.l1Hits = uint64(len(ops))+hits, l1Hits+hits
-		p.demandReads, p.demandStores, p.fwdStores = demandReads, demandStores, fwdStores
-	}
-}
-
-// profile packages the timed pass's counts and arithmetic outcome with the
-// UE's owned y values, aligned with its partition rows.
-func (p *profileProber) profile(compute float64, nnz int, y []float64, rows []int32) ueProfile {
-	up := ueProfile{
-		accesses:     p.accesses,
-		l1Hits:       p.l1Hits,
-		demandReads:  p.demandReads,
-		demandStores: p.demandStores,
-		fwdStores:    p.fwdStores,
-		sets:         p.sa.Profile(),
-		compute:      compute,
-		nnz:          nnz,
-		y:            make([]float64, len(rows)),
-	}
+	up = ueProfile{l1: h.Stats(), sets: sa.Profile(), compute: compute, nnz: nnz, y: make([]float64, len(rows))}
 	for i, ri := range rows {
 		up.y[i] = y[ri]
 	}
-	return up
+	return up, true
 }
 
 // priceStats converts one UE's profile into the HierarchyStats the exact
@@ -287,14 +269,10 @@ func (p *profileProber) profile(compute float64, nnz int, y []float64, rows []in
 // write back, and with the L2 disabled every store reaching below is a
 // write-through word.
 func (m *Machine) priceStats(up *ueProfile) cache.HierarchyStats {
-	s := cache.HierarchyStats{Accesses: up.accesses, L1Hits: up.l1Hits}
-	demand := up.demandReads + up.demandStores
 	if !m.WithL2 {
-		s.MemAccesses = demand
-		s.MemLineFills = demand
-		s.MemWriteThroughs = up.demandStores + up.fwdStores
-		return s
+		return up.l1
 	}
+	s := cache.HierarchyStats{Accesses: up.l1.Accesses, L1Hits: up.l1.L1Hits}
 	g := m.l2Config()
 	price, ok := up.sets.Price(bits.TrailingZeros(uint(g.Sets())), g.Ways)
 	if !ok {
@@ -312,10 +290,47 @@ func (m *Machine) priceStats(up *ueProfile) cache.HierarchyStats {
 // profileFlights single-flights profile builds per (store, key): a
 // geometry sweep fans its cells out concurrently and all of them share one
 // (matrix, partition) stream, so letting every racing cell build its own
-// copy would spend exactly the walks the fast path exists to avoid. The
-// mutexes are never removed; the population is bounded by the distinct
-// (store, cell) pairs the process ever prices.
-var profileFlights sync.Map // string -> *sync.Mutex
+// copy would spend exactly the walks the fast path exists to avoid.
+var profileFlights flightTable
+
+// flightTable runs calls one key at a time. An entry lives while a call of
+// its key runs or waits, so the table holds only keys in use.
+type flightTable struct {
+	mu sync.Mutex
+	m  map[string]*flight
+}
+
+// flight is one key's lock and the number of calls that hold or wait for it.
+type flight struct {
+	sync.Mutex
+	holders int
+}
+
+// do runs fn once no other call of key is running, and drops key's entry
+// when the last such call returns, whether fn returns or panics.
+func (t *flightTable) do(key string, fn func()) {
+	t.mu.Lock()
+	f := t.m[key]
+	if f == nil {
+		if t.m == nil {
+			t.m = make(map[string]*flight)
+		}
+		f = &flight{}
+		t.m[key] = f
+	}
+	f.holders++
+	t.mu.Unlock()
+	defer func() {
+		t.mu.Lock()
+		if f.holders--; f.holders == 0 {
+			delete(t.m, key)
+		}
+		t.mu.Unlock()
+	}()
+	f.Lock()
+	defer f.Unlock()
+	fn()
+}
 
 // fetchOrBuildProfile returns the cell profile for this run, from the
 // store when resident, building (and persisting) it otherwise. Builds
@@ -323,14 +338,19 @@ var profileFlights sync.Map // string -> *sync.Mutex
 // persistence (every call builds a throwaway profile). The build writes
 // the UE-owned y values into y as a side effect, exactly like the exact
 // walk would.
-func fetchOrBuildProfile(a *sparse.CSR, y []float64, parts [][]int32, opts Options, k *kernel) (*cellProfile, error) {
+func fetchOrBuildProfile(a *sparse.CSR, y []float64, parts [][]int32, opts Options, k *kernel) (prof *cellProfile, err error) {
 	key := profileKey(a, &opts)
-	if opts.Profiles != nil {
-		flight, _ := profileFlights.LoadOrStore(fmt.Sprintf("%p|%s", opts.Profiles, key), &sync.Mutex{})
-		mu := flight.(*sync.Mutex)
-		mu.Lock()
-		defer mu.Unlock()
+	if opts.Profiles == nil {
+		return getOrBuildProfile(key, y, parts, opts, k)
 	}
+	profileFlights.do(fmt.Sprintf("%p|%s", opts.Profiles, key), func() {
+		prof, err = getOrBuildProfile(key, y, parts, opts, k)
+	})
+	return prof, err
+}
+
+// getOrBuildProfile is fetchOrBuildProfile within key's flight.
+func getOrBuildProfile(key string, y []float64, parts [][]int32, opts Options, k *kernel) (*cellProfile, error) {
 	if v, ok := opts.Profiles.GetBlob(key); ok {
 		// No walk runs to notice a cancellation, so check here.
 		if err := opts.ctx().Err(); err != nil {
@@ -339,17 +359,13 @@ func fetchOrBuildProfile(a *sparse.CSR, y []float64, parts [][]int32, opts Optio
 		profilesReused.Add(1)
 		return v.(*cellProfile), nil
 	}
-	// Each UE runs the exact engine's walk (walkRank) and replays its
-	// record through the profiling prober: stack and L1 state warm through
-	// the untimed replay, counts cover the timed one only.
+	// Each UE runs the exact engine's walk (walkRank) on a pool worker's
+	// walker: stack and L1 state warm through the untimed lap, counts
+	// cover the timed one only.
 	built := &cellProfile{perUE: make([]ueProfile, opts.UEs)}
-	err := uePool.ForEachCtx(opts.ctx(), opts.UEs, opts.workers(), func(rank int) {
-		pp := &profileProber{l1: cache.New(cache.SCCL1()), sa: trace.NewSetAnalyzer(profileSetConfig)}
-		// Analytic pricing runs without the prefetcher, so the record
-		// may drop L1-MRU re-reads.
-		var rec recorder
-		if compute, nnz, ok := walkRank(&opts, k, rank, &rec, true, pp.replay); ok {
-			built.perUE[rank] = pp.profile(compute, nnz, y, parts[rank])
+	err := eachRank(&opts, newProfileWalker, func(rank int, w *walker) {
+		if up, ok := profileRank(&opts, k, rank, w, y, parts[rank]); ok {
+			built.perUE[rank] = up
 		}
 	})
 	if err != nil {

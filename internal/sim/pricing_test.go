@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"sync"
 	"testing"
 
 	"repro/internal/cache"
@@ -189,8 +190,10 @@ func TestAnalyticProfileReuse(t *testing.T) {
 }
 
 // TestPricingAutoSelection pins auto mode's contract: it goes analytic only
-// when that is provably identical to the exact walk (TrueLRU or no L2, no
-// structural blocker, a profile store present) and NEVER changes output.
+// when that is provably identical to the exact walk (a TrueLRU L2, no
+// structural blocker, a profile store present) and NEVER changes output. A
+// machine with no L2 prices exactly from a profile too, but auto walks it:
+// its profile would price that one geometry only.
 func TestPricingAutoSelection(t *testing.T) {
 	cases := []struct {
 		name     string
@@ -204,7 +207,7 @@ func TestPricingAutoSelection(t *testing.T) {
 		{"no-l2+store", func(m *Machine, o *Options) {
 			m.WithL2 = false
 			o.Profiles = sparse.NewMatrixCache(1 << 30)
-		}, true},
+		}, false},
 		{"plru-l2", func(m *Machine, o *Options) {
 			o.Profiles = sparse.NewMatrixCache(1 << 30) // default L2 is tree-PLRU
 		}, false},
@@ -249,6 +252,72 @@ func TestPricingAutoSelection(t *testing.T) {
 			}
 			requireSameResults(t, tc.name, want, got)
 		})
+	}
+}
+
+// flightKeys returns the number of keys in t.
+func flightKeys(t *flightTable) int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return len(t.m)
+}
+
+// TestFlightTableDropsFinishedKeys runs 10k distinct keys through a
+// flight table, from two goroutines that share each key, with one call in
+// a hundred panicking: every call must run alone within its key, and the
+// table must be empty afterwards.
+func TestFlightTableDropsFinishedKeys(t *testing.T) {
+	var table flightTable
+	const keys = 10000
+	running := make([]int, keys)
+	call := func(i int) {
+		defer func() { _ = recover() }()
+		table.do(fmt.Sprintf("key-%d", i), func() {
+			running[i]++
+			defer func() { running[i]-- }()
+			if running[i] != 1 {
+				t.Errorf("key %d: %d calls at once", i, running[i])
+			}
+			if i%100 == 0 {
+				panic("build failed")
+			}
+		})
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < keys; i++ {
+				call(i)
+			}
+		}()
+	}
+	wg.Wait()
+	if n := flightKeys(&table); n != 0 {
+		t.Errorf("%d keys left after every call returned", n)
+	}
+}
+
+// TestProfileBuildsLeaveNoFlights builds profiles on fresh stores, the way
+// each perfbench render and each daemon job does, with one build
+// cancelled: none may leave an entry in profileFlights.
+func TestProfileBuildsLeaveNoFlights(t *testing.T) {
+	m := NewMachine(scc.Conf0)
+	m.L2Geom = l2geom(256<<10, 4)
+	for _, a := range []*sparse.CSR{fixSmall, fixIrr, fixSmall} {
+		opts := Options{UEs: 4, Pricing: PricingAnalytic, Profiles: sparse.NewMatrixCache(1 << 30)}
+		if _, err := m.RunSpMV(a, nil, opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The fifth context check falls inside the build, past prepare's.
+	ctx := &flipCtx{Context: context.Background(), k: 5}
+	if _, err := m.RunSpMV(fixSmall, nil, Options{UEs: 4, Ctx: ctx, Pricing: PricingAnalytic, Profiles: sparse.NewMatrixCache(1 << 30)}); err != context.Canceled {
+		t.Fatalf("build cancelled mid-walk returned %v, want context.Canceled", err)
+	}
+	if n := flightKeys(&profileFlights); n != 0 {
+		t.Errorf("profileFlights holds %d keys after every build returned", n)
 	}
 }
 

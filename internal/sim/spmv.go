@@ -12,6 +12,7 @@ import (
 	"repro/internal/partition"
 	"repro/internal/scc"
 	"repro/internal/sparse"
+	"repro/internal/trace"
 )
 
 // Engine observability (see internal/obs): every metric below is
@@ -207,23 +208,10 @@ func drive(machines []*Machine, opts Options, k kernel) ([]*Result, error) {
 func walkExact(machines []*Machine, opts Options, k kernel, results []*Result) error {
 	lead := machines[0]
 	cellsExact.Add(1)
-	// idle is this walk's free list of walkers: a rank takes one or makes
-	// one, and puts it back when done. At most one walker per pool worker
-	// is in use or idle at a time, so putting one back never blocks, and
-	// every walker is garbage once the walk returns. A sync.Pool would keep
-	// them past the walk (DESIGN.md §4, decision 6).
-	idle := make(chan *walker, min(opts.workers(), opts.UEs))
 	filter := mruFilterValid(lead)
-	return uePool.ForEachCtx(opts.ctx(), opts.UEs, opts.workers(), func(rank int) {
+	fresh := func() *walker { return &walker{h: lead.newHierarchy()} }
+	return eachRank(&opts, fresh, func(rank int, w *walker) {
 		start := time.Now() //sccvet:allow nondeterminism write-only span instrumentation; never feeds simulated results
-		var w *walker
-		select {
-		case w = <-idle:
-			w.h.Reset()
-		default:
-			w = &walker{h: lead.newHierarchy()}
-		}
-		defer func() { idle <- w }()
 		h := w.h
 		compute, nnz, ok := walkRank(&opts, &k, rank, &w.rec, filter, func(ops []uint32, hits uint64, timed bool) {
 			if timed {
@@ -245,11 +233,37 @@ func walkExact(machines []*Machine, opts Options, k kernel, results []*Result) e
 	})
 }
 
-// walker is one pool worker's scratch within one walk: a hierarchy, cleared
-// with Reset between ranks, and a record buffer.
+// walker is one pool worker's scratch within one walk: a hierarchy and,
+// for a profile build, a stack analyzer, both cleared with Reset between
+// ranks, and a record buffer.
 type walker struct {
 	h   *cache.Hierarchy
+	sa  *trace.SetAnalyzer
 	rec recorder
+}
+
+// eachRank fans opts.UEs ranks over uePool and hands each one a walker.
+// idle is the walk's free list of walkers: a rank takes one, reset, or
+// makes one with fresh, and puts it back when done. At most one walker per
+// pool worker is in use or idle at a time, so putting one back never
+// blocks, and every walker is garbage once the walk returns. A sync.Pool
+// would keep them past the walk (DESIGN.md §4, decision 6).
+func eachRank(opts *Options, fresh func() *walker, fn func(rank int, w *walker)) error {
+	idle := make(chan *walker, min(opts.workers(), opts.UEs))
+	return uePool.ForEachCtx(opts.ctx(), opts.UEs, opts.workers(), func(rank int) {
+		var w *walker
+		select {
+		case w = <-idle:
+			w.h.Reset()
+			if w.sa != nil {
+				w.sa.Reset()
+			}
+		default:
+			w = fresh()
+		}
+		defer func() { idle <- w }()
+		fn(rank, w)
+	})
 }
 
 // mruFilterValid reports whether a record may drop its L1-MRU re-reads

@@ -52,13 +52,14 @@ type SetConfig struct {
 }
 
 // Validate checks the bounds. MaxSetsLog2 is capped at 20 because every
-// level allocates a dense per-set index (2^s slice headers).
+// level allocates a dense array of per-set stacks, and MaxWays at 15
+// because an entry keeps tau, which reaches MaxWays, in 4 bits.
 func (c SetConfig) Validate() error {
 	if c.MinSetsLog2 < 0 || c.MaxSetsLog2 < c.MinSetsLog2 || c.MaxSetsLog2 > 20 {
 		return fmt.Errorf("trace: bad set range [%d, %d]", c.MinSetsLog2, c.MaxSetsLog2)
 	}
-	if c.MaxWays < 1 || c.MaxWays > 64 {
-		return fmt.Errorf("trace: MaxWays %d outside 1..64", c.MaxWays)
+	if c.MaxWays < 1 || c.MaxWays > entryFieldMask {
+		return fmt.Errorf("trace: MaxWays %d outside 1..%d", c.MaxWays, entryFieldMask)
 	}
 	return nil
 }
@@ -69,47 +70,48 @@ func (c SetConfig) Covers(setsLog2, ways int) bool {
 		ways >= 1 && ways <= c.MaxWays
 }
 
-// Each resident line is one packed uint64: the line number in the high
-// bits, below it tau (the clean-below threshold: the line is dirty in a
+// MaxLine is the largest cache-line number an analyzer of this
+// configuration accepts: 2^(23+MinSetsLog2)-1, so that the coarsest
+// level's tag fits its entry.
+func (c SetConfig) MaxLine() uint64 { return 1<<(entryTagBits+c.MinSetsLog2) - 1 }
+
+// Each resident line is one uint32 entry. From the top: the line's tag at
+// its level (the line number above the level's set bits, 23 bits), a
+// valid bit, then tau (the clean-below threshold: the line is dirty in a
 // W-way cache iff W > tau) and base (the floor of the entry's accountable
 // descent: dirty crossings at associativities <= base happened while
 // recording was off, or were already settled, and must not be charged;
-// it is the entry's stack position at the most recent recording flip,
-// 0 otherwise). Packing keeps a whole 8-way set in one 64-byte host
-// cache line, which matters because the profile build is bound by the
-// scattered per-level state it touches per access, not by arithmetic.
+// it is the entry's stack position at the most recent recording flip, 0
+// otherwise), 4 bits each. A zero entry is a free slot. A whole 8-way set
+// fits in half a 64-byte host cache line, which matters because the
+// profile build is bound by the scattered per-level state it touches per
+// access, not by arithmetic.
 const (
-	entryMetaBits = 14 // tau and base, 7 bits each (ways <= 64)
-	entryTauShift = 7
-	entryFieldMax = 1 << 7
-
-	// MaxLine is the largest cache-line number a SetAnalyzer accepts:
-	// lines share their packed entry with the metadata fields above.
-	MaxLine = 1<<(64-entryMetaBits) - 1
+	entryFieldMask = 1<<4 - 1
+	entryTauShift  = 4
+	entryValid     = 1 << 8
+	entryTagShift  = 9
+	entryTagBits   = 32 - entryTagShift
+	entryFields    = entryValid - 1 // tau and base
 )
 
-func packEntry(line uint64, tau, base int32) uint64 {
-	return line<<entryMetaBits | uint64(tau)<<entryTauShift | uint64(base)
-}
-
-func entryLine(e uint64) uint64 { return e >> entryMetaBits }
-func entryTau(e uint64) int32   { return int32(e >> entryTauShift & (entryFieldMax - 1)) }
-func entryBase(e uint64) int32  { return int32(e & (entryFieldMax - 1)) }
+func entryTau(e uint32) int32  { return int32(e >> entryTauShift & entryFieldMask) }
+func entryBase(e uint32) int32 { return int32(e & entryFieldMask) }
 
 // setLevel tracks one set count: per-set LRU stacks truncated at ways
 // entries plus the per-distance histograms and deferred write-back spans.
 // The stacks live in one flat array: set s occupies the ways-sized chunk
-// at s*ways as a circular buffer whose MRU slot is heads[s], so a miss -
-// the dominant case of an L1-filtered stream - inserts in O(1) by
-// rotating the head instead of shifting the whole stack. This layout
-// plus the deferred write-back accounting is worth several x on the
-// build over the map-of-slices it replaced.
+// at s*ways, most recently used first and zero-terminated when not full.
+// A touch at distance d shifts the d entries above it down one slot, and
+// a miss shifts the whole chunk, dropping the LRU entry off its end.
 type setLevel struct {
 	mask  uint64
+	shift uint // the level's set bits: an entry's tag is line >> shift
 	ways  int
-	ents  []uint64
-	heads []uint8
-	lens  []uint8
+	ents  []uint32
+	// used lists every set that holds an entry, in first-use order, so
+	// that Reset, SetRecording and Profile visit only the occupied sets.
+	used []uint32
 	// demandHist[d] / fwdHist[d] count accesses at per-set stack distance
 	// exactly d for d < ways; index ways pools distances >= ways and cold
 	// accesses (a miss at every priceable associativity).
@@ -121,9 +123,16 @@ type setLevel struct {
 	wbDiff []int64
 }
 
+// stack returns line's set chunk and the entry a line resident there has
+// apart from tau and base.
+func (l *setLevel) stack(line uint64) (st []uint32, key uint32) {
+	b := int(line&l.mask) * l.ways
+	return l.ents[b : b+l.ways : b+l.ways], uint32(line>>l.shift)<<entryTagShift | entryValid
+}
+
 // settle charges an entry's pending dirty crossings - the associativity
 // span (max(tau, base), pos] - against a difference array.
-func settle(diff []int64, e uint64, pos int32) {
+func settle(diff []int64, e uint32, pos int32) {
 	a := entryTau(e)
 	if b := entryBase(e); b > a {
 		a = b
@@ -142,29 +151,18 @@ func settle(diff []int64, e uint64, pos int32) {
 // recording (the timed pass), matching the warm-up/ResetStats split of
 // the exact simulator.
 func (l *setLevel) touch(line uint64, store, recording bool, from int) int {
-	ways := l.ways
-	set := line & l.mask
-	b := int(set) * ways
-	head := int(l.heads[set])
-	n := int(l.lens[set])
+	st, key := l.stack(line)
 	// Distance-0 fast path: an MRU re-touch moves nothing and has no
 	// pending descent span to settle ((max(tau, base), 0] is empty).
-	if from == 0 && n > 0 && entryLine(l.ents[b+head]) == line {
+	if from == 0 && st[0]&^entryFields == key {
 		if store {
-			l.ents[b+head] = packEntry(line, 0, entryBase(l.ents[b+head]))
+			st[0] &^= entryFieldMask << entryTauShift
 		}
 		return 0
 	}
-	if from < 1 {
-		from = 1
-	}
-	for j := from; j < n; j++ {
-		p := head + j
-		if p >= ways {
-			p -= ways
-		}
-		e := l.ents[b+p]
-		if entryLine(e) != line {
+	for j := max(from, 1); j < len(st) && st[j] != 0; j++ {
+		e := st[j]
+		if e&^entryFields != key {
 			continue
 		}
 		if recording {
@@ -179,56 +177,52 @@ func (l *setLevel) touch(line uint64, store, recording bool, from int) int {
 		} else if int32(j) > tau {
 			tau = int32(j)
 		}
-		// Move to front: slide logical 0..j-1 down one slot, then
-		// reinsert at the head.
-		dst := p
-		for k := j - 1; k >= 0; k-- {
-			src := head + k
-			if src >= ways {
-				src -= ways
-			}
-			l.ents[b+dst] = l.ents[b+src]
-			dst = src
-		}
-		l.ents[b+head] = packEntry(line, tau, 0)
+		copy(st[1:j+1], st[:j])
+		st[0] = key | uint32(tau)<<entryTauShift
 		return j
 	}
 	l.insertMiss(line, store, recording)
-	return ways
+	return l.ways
 }
 
 // insertMiss records an access known to miss the truncated stack (either
-// touch scanned and failed, or a finer level already missed): rotate the
-// head back one slot and claim it.
+// touch scanned and failed, or a finer level already missed): the chunk
+// shifts down one slot and the line takes its head.
 func (l *setLevel) insertMiss(line uint64, store, recording bool) {
-	ways := l.ways
-	set := line & l.mask
-	b := int(set) * ways
-	n := int(l.lens[set])
-	tau := int32(ways)
+	st, key := l.stack(line)
+	tau := uint32(l.ways)
 	if store {
 		tau = 0
 	}
-	head := int(l.heads[set]) - 1
-	if head < 0 {
-		head += ways
+	if last := st[len(st)-1]; last != 0 && recording {
+		// The LRU entry drops off: it has by now crossed every boundary up
+		// to the ways-way eviction.
+		settle(l.wbDiff, last, int32(l.ways))
 	}
-	if n < ways {
-		// The claimed slot was vacant; the stack just grows.
-		l.lens[set] = uint8(n + 1)
-	} else if recording {
-		// The claimed slot held the LRU entry: it has by now crossed
-		// every boundary up to the ways-way eviction.
-		settle(l.wbDiff, l.ents[b+head], int32(ways))
+	if st[0] == 0 {
+		l.used = append(l.used, uint32(line&l.mask))
 	}
-	l.heads[set] = uint8(head)
-	l.ents[b+head] = packEntry(line, tau, 0)
+	copy(st[1:], st)
+	st[0] = key | tau<<entryTauShift
+}
+
+// eachEntry calls fn with the address and stack position of every
+// resident entry.
+func (l *setLevel) eachEntry(fn func(e *uint32, pos int32)) {
+	for _, set := range l.used {
+		st := l.ents[int(set)*l.ways : (int(set)+1)*l.ways]
+		for j := 0; j < len(st) && st[j] != 0; j++ {
+			fn(&st[j], int32(j))
+		}
+	}
 }
 
 // SetAnalyzer runs the multi-geometry analysis online over a cache-line
-// stream. It is not safe for concurrent use; each simulated UE owns one.
+// stream. It is not safe for concurrent use; each simulated UE owns one
+// at a time, and Reset readies it for the next.
 type SetAnalyzer struct {
 	cfg       SetConfig
+	maxLine   uint64
 	levels    []setLevel
 	recording bool
 }
@@ -240,21 +234,37 @@ func NewSetAnalyzer(cfg SetConfig) *SetAnalyzer {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	a := &SetAnalyzer{cfg: cfg, recording: true}
+	a := &SetAnalyzer{cfg: cfg, maxLine: cfg.MaxLine(), recording: true}
 	for s := cfg.MinSetsLog2; s <= cfg.MaxSetsLog2; s++ {
 		sets := 1 << uint(s)
 		a.levels = append(a.levels, setLevel{
 			mask:       uint64(sets) - 1,
+			shift:      uint(s),
 			ways:       cfg.MaxWays,
-			ents:       make([]uint64, sets*cfg.MaxWays),
-			heads:      make([]uint8, sets),
-			lens:       make([]uint8, sets),
+			ents:       make([]uint32, sets*cfg.MaxWays),
 			demandHist: make([]uint64, cfg.MaxWays+1),
 			fwdHist:    make([]uint64, cfg.MaxWays+1),
 			wbDiff:     make([]int64, cfg.MaxWays+2),
 		})
 	}
 	return a
+}
+
+// Reset empties the analyzer, leaving it equal to a new one of its
+// configuration while keeping its buffers. It clears only the sets that
+// were used.
+func (a *SetAnalyzer) Reset() {
+	for i := range a.levels {
+		l := &a.levels[i]
+		for _, set := range l.used {
+			clear(l.ents[int(set)*l.ways : (int(set)+1)*l.ways])
+		}
+		l.used = l.used[:0]
+		clear(l.demandHist)
+		clear(l.fwdHist)
+		clear(l.wbDiff)
+	}
+	a.recording = true
 }
 
 // SetRecording gates histogram and write-back accumulation: stack state
@@ -269,37 +279,30 @@ func (a *SetAnalyzer) SetRecording(on bool) {
 	}
 	for i := range a.levels {
 		l := &a.levels[i]
-		for set, n := range l.lens {
-			b, head := set*l.ways, int(l.heads[set])
-			for j := 0; j < int(n); j++ {
-				p := head + j
-				if p >= l.ways {
-					p -= l.ways
-				}
-				e := l.ents[b+p]
-				if !on {
-					settle(l.wbDiff, e, int32(j))
-				}
-				l.ents[b+p] = packEntry(entryLine(e), entryTau(e), int32(j))
+		l.eachEntry(func(e *uint32, pos int32) {
+			if !on {
+				settle(l.wbDiff, *e, pos)
 			}
-		}
+			*e = *e&^entryFieldMask | uint32(pos)
+		})
 	}
 	a.recording = on
 }
 
 // Touch records one access to a cache-line number (not a byte address).
+// It panics on a line above the configuration's MaxLine.
 //
 // Levels are walked finest (most sets) to coarsest: per-set stack
 // distance is non-increasing in the set count (a finer set's residents
 // are a subsequence of its coarser superset's), so each level's distance
 // lower-bounds the next coarser one. The bound skips scan prefixes, and
 // once any level misses its truncated stack the access has distance >=
-// MaxWays everywhere coarser and takes the O(1) no-scan miss insert. On
-// an L1-filtered stream - cold fills and far reuse - that is the
-// dominant case.
+// MaxWays everywhere coarser and takes the no-scan miss insert. On an
+// L1-filtered stream - cold fills and far reuse - that is the dominant
+// case.
 func (a *SetAnalyzer) Touch(line uint64, kind AccessKind) {
-	if line > MaxLine {
-		panic(fmt.Sprintf("trace: line %#x exceeds MaxLine %#x", line, uint64(MaxLine)))
+	if line > a.maxLine {
+		panic(fmt.Sprintf("trace: line %#x exceeds MaxLine %#x", line, a.maxLine))
 	}
 	store := kind != DemandRead
 	bound := 0
@@ -353,16 +356,7 @@ func (a *SetAnalyzer) Profile() SetProfile {
 		l := &a.levels[i]
 		diff := append([]int64(nil), l.wbDiff...)
 		if a.recording {
-			for set, n := range l.lens {
-				b, head := set*l.ways, int(l.heads[set])
-				for j := 0; j < int(n); j++ {
-					p := head + j
-					if p >= l.ways {
-						p -= l.ways
-					}
-					settle(diff, l.ents[b+p], int32(j))
-				}
-			}
+			l.eachEntry(func(e *uint32, pos int32) { settle(diff, *e, pos) })
 		}
 		wb := make([]uint64, a.cfg.MaxWays+1)
 		var run int64
